@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import log_factorials
 from .matching import LogG, log_g_table
 from .thermo import critical_beta
 
@@ -97,7 +98,6 @@ def build_table(
     beta: float,
     gtable: LogG | None = None,
     cache_dir: str | None = None,
-    backend: str | None = None,
 ) -> LogWeightTable:
     """Assemble log x_j = log C(n, j) + log g(d j, d n).
 
@@ -105,15 +105,14 @@ def build_table(
     (d, n, beta) or the combination is rejected.
     """
     if gtable is None:
-        gtable = log_g_table(d, n, beta, cache_dir=cache_dir, backend=backend)
+        gtable = log_g_table(d, n, beta, cache_dir=cache_dir)
     elif (gtable.d, gtable.n) != (d, n) or gtable.beta != beta:
         raise ValueError(
             f"g-table built for (d={gtable.d}, n={gtable.n}, beta={gtable.beta!r}), "
             f"requested (d={d}, n={n}, beta={beta!r})"
         )
-    lc = math.lgamma(n + 1.0)
-    j = np.arange(n + 1, dtype=np.float64)
-    lbinom = lc - np.array([math.lgamma(i + 1.0) + math.lgamma(n - i + 1.0) for i in range(n + 1)])
+    lf = log_factorials(n)
+    lbinom = lf[n] - (lf + lf[::-1])
     log_x = lbinom + np.asarray(gtable.values, dtype=np.float64)
     log_x.setflags(write=False)
     return LogWeightTable(n=n, d=d, beta=beta, log_x=log_x, j_star=n // 2)
@@ -160,10 +159,17 @@ def finite_magnetization(table: LogWeightTable, B: float = 0.0) -> float:
 
 
 def finite_susceptibility(table: LogWeightTable, B: float = 0.0) -> float:
-    """chi_n = Var(S)/n = d^2 psi_n / d B^2."""
-    law = spin_law(table, B)
-    m1 = law.moment(1)
-    return (law.moment(2) - m1 * m1) / table.n
+    """chi_n = Var(S)/n = d^2 psi_n / d B^2.
+
+    The variance is the centred second moment under masses renormalized by
+    their own sum: E[S^2] - E[S]^2 would cancel ~n-fold in the ordered phase
+    and amplify the ~1e-12 normalization error of the log-masses with it.
+    """
+    p = spin_law(table, B).masses
+    p /= np.sum(p)
+    s = 2.0 * np.arange(table.n + 1, dtype=np.float64) - table.n
+    s -= np.sum(p * s)
+    return float(np.sum(p * s * s)) / table.n
 
 
 def mgf_scaled(table: LogWeightTable, r: float) -> float:

@@ -157,7 +157,6 @@ def log_g_table(
     n: int,
     beta: float,
     cache_dir: str | os.PathLike | None = None,
-    backend: str | None = None,
 ) -> LogG:
     """Table of log g_beta(dj, dn) for j = 0..n, optionally cached on disk.
 
@@ -174,29 +173,33 @@ def log_g_table(
     beta = float(beta)
     path = cache_path(cache_dir, d, n, beta)
     if path is not None and path.exists():
-        values = _read_cache(path, d, n)
+        values = _read_cache(path, d, n, beta)
         if values is not None:
             return LogG(d, n, beta, values)
-    values = gtable_values(d, n, beta, backend=backend)
+    values = gtable_values(d, n, beta)
     if path is not None:
         _write_cache(path, d, n, beta, values)
     return LogG(d, n, beta, values)
 
 
 def cache_path(cache_dir, d: int, n: int, beta: float) -> Path | None:
-    """File the (d, n, beta) table lives at, keyed by beta to 12 significant digits."""
+    """File the (d, n, beta) table lives at, keyed by the exact beta (its repr)."""
     root = cache_dir if cache_dir is not None else os.environ.get(CACHE_ENV)
     if root is None:
         return None
-    return Path(root).expanduser() / f"gtable_d{d}_n{n}_b{float(beta):.11e}.txt"
+    return Path(root).expanduser() / f"gtable_d{d}_n{n}_b{float(beta)!r}.txt"
 
 
-def _read_cache(path: Path, d: int, n: int) -> np.ndarray | None:
-    """Parse a cache file; any mismatch or corruption means 'recompute'."""
+def _read_cache(path: Path, d: int, n: int, beta: float) -> np.ndarray | None:
+    """Parse a cache file; any mismatch or corruption means 'recompute'.
+
+    The header must name exactly (d, n, beta), and every value must be a
+    finite log-weight, so <= 0.
+    """
     try:
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline().split()
-            if header[:2] != _FORMAT.split() or header[2] != f"d={d}" or header[3] != f"n={n}":
+            if header != [*_FORMAT.split(), f"d={d}", f"n={n}", f"beta={beta:.17g}"]:
                 return None
             values = np.empty(n + 1)
             for j in range(n + 1):
@@ -204,6 +207,8 @@ def _read_cache(path: Path, d: int, n: int) -> np.ndarray | None:
                 if int(idx) != j:
                     return None
                 values[j] = float(val)
+        if not (np.all(np.isfinite(values)) and np.all(values <= 0.0)):
+            return None
         return values
     except (OSError, ValueError, IndexError):
         return None

@@ -44,6 +44,16 @@ def test_binomial_part_is_exact():
         assert lb == pytest.approx(math.log(math.comb(n, j)), abs=1e-11), j
 
 
+def test_binomial_part_is_bitwise_the_lgamma_expression():
+    # assembling log C(n, j) from the log-factorial prefix keeps every double
+    # of the per-entry lgamma expression it replaced
+    n = 1000
+    gt = log_g_table(3, n, 0.4)
+    lc = math.lgamma(n + 1.0)
+    lbinom = lc - np.array([math.lgamma(i + 1.0) + math.lgamma(n - i + 1.0) for i in range(n + 1)])
+    assert np.array_equal(build_table(3, n, 0.4, gtable=gt).log_x, lbinom + gt.values)
+
+
 def test_prebuilt_gtable_must_match():
     gt = log_g_table(3, 10, 0.3)
     assert np.array_equal(build_table(3, 10, 0.3, gtable=gt).log_x, build_table(3, 10, 0.3).log_x)
@@ -62,6 +72,25 @@ def test_free_spins_have_closed_forms():
             1.0 - math.tanh(B) ** 2, abs=1e-10
         )
     assert finite_susceptibility(t, 0.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def _fsum_susceptibility(table, B):
+    """Var(S)/n under the B-tilted weights, centred and summed with math.fsum."""
+    n = table.n
+    logs = [float(v) + 2.0 * B * j for j, v in enumerate(table.log_x)]
+    top = max(logs)
+    w = [math.exp(v - top) for v in logs]
+    z = math.fsum(w)
+    mean = math.fsum(wj * (2 * j - n) for j, wj in enumerate(w)) / z
+    return math.fsum(wj * (2 * j - n - mean) ** 2 for j, wj in enumerate(w)) / z / n
+
+
+@pytest.mark.parametrize("B", [0.1, 0.2, 0.25])
+def test_ordered_phase_susceptibility_matches_fsum(get_table, B):
+    # the mean is above 0.9 n here, so E[S^2] - E[S]^2 loses ~4 digits (2-4e-10 relative)
+    t = get_table(3, 2000, 0.7)
+    ref = _fsum_susceptibility(t, B)
+    assert finite_susceptibility(t, B) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 def test_spin_law_is_symmetric_and_centered(get_table):

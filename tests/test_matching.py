@@ -9,6 +9,7 @@ import pytest
 from annealed_ising import (
     F_beta,
     brute_force_law,
+    critical_beta,
     cross_count_law,
     log_g_table,
     sample_cross_count,
@@ -209,6 +210,38 @@ def test_cache_keys_separate_betas(tmp_path):
     p1 = cache_path(tmp_path, 3, 10, 0.3)
     p2 = cache_path(tmp_path, 3, 10, 0.3 + 1e-10)
     assert p1 != p2
+
+
+def test_cache_never_serves_a_neighbouring_beta(tmp_path):
+    # betas that agree to 12 significant digits must not share a cache file
+    bc = critical_beta(3)
+    near = bc + 4e-13
+    at_bc = log_g_table(3, 200, bc, cache_dir=tmp_path)
+    t = log_g_table(3, 200, near, cache_dir=tmp_path)
+    assert t.beta == near
+    assert np.array_equal(t.values, log_g_table(3, 200, near).values)
+    assert not np.array_equal(t.values, at_bc.values)
+
+
+def test_cache_rejects_a_header_for_another_beta(tmp_path):
+    d, n = 3, 20
+    log_g_table(d, n, 0.3, cache_dir=tmp_path)
+    path = cache_path(tmp_path, d, n, 0.4)
+    path.write_text(cache_path(tmp_path, d, n, 0.3).read_text())  # a 0.3 table filed as 0.4
+    fresh = log_g_table(d, n, 0.4).values
+    assert np.array_equal(log_g_table(d, n, 0.4, cache_dir=tmp_path).values, fresh)
+    assert path.read_text().split("\n")[0].endswith("beta=0.40000000000000002")  # rewritten
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0.5"])
+def test_cache_rejects_impossible_values(tmp_path, bad):
+    d, n, beta = 3, 20, 0.3
+    fresh = log_g_table(d, n, beta, cache_dir=tmp_path).values
+    path = cache_path(tmp_path, d, n, beta)
+    lines = path.read_text().split("\n")
+    lines[5] = f"4 {bad}"
+    path.write_text("\n".join(lines))
+    assert np.array_equal(log_g_table(d, n, beta, cache_dir=tmp_path).values, fresh)
 
 
 def test_cache_dir_expands_tilde():
