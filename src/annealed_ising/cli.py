@@ -11,7 +11,7 @@ Three subcommands:
 
 Output is deterministic for a fixed configuration and seed: floats are
 serialized with repr (shortest round-trip form), rows are emitted in grid
-order regardless of ``--threads``, and reports carry no timestamps.
+order, and reports carry no timestamps.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,6 @@ class RunConfig:
     cache_dir: str | None
     out: str | None
     fmt: str
-    threads: int
     seed: int
     suite: str | None = None
 
@@ -61,8 +59,6 @@ class RunConfig:
                 raise ValueError(f"n={n}: need n >= 1")
             if (self.d * n) % 2:
                 raise ValueError(f"d*n = {self.d}*{n} is odd: the pairing model needs d*n even")
-        if self.threads < 1:
-            raise ValueError(f"threads={self.threads}: need >= 1")
 
 
 def _parse_range(text: str, name: str) -> tuple[float, ...]:
@@ -119,7 +115,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         cache_dir=args.cache_dir,
         out=args.out,
         fmt=args.format,
-        threads=args.threads,
         seed=args.seed,
         suite=getattr(args, "suite", None),
     )
@@ -144,7 +139,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--cache-dir", help="directory for weight-table caching")
         sp.add_argument("--out", help="output path (default: stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--threads", type=int, default=1, help="worker threads for grid scans")
         sp.add_argument("--seed", type=int, default=0, help="RNG seed for sampling checks")
 
     common(sub.add_parser("gtable", help="emit the table log g(d j, d n), j = 0..n"))
@@ -244,10 +238,8 @@ def cmd_thermo(cfg: RunConfig) -> int:
     Bs = cfg.Bs or (0.0,)
     if cfg.ns:
         header = ("n", "beta", "B", "psi_n", "M_n", "chi_n")
-        tasks = [(n, b) for n in cfg.ns for b in cfg.betas]
 
-        def work(task):
-            n, b = task
+        def work(n, b):
             table = finiten.build_table(cfg.d, n, b, cache_dir=cfg.cache_dir)
             return [
                 (
@@ -261,14 +253,11 @@ def cmd_thermo(cfg: RunConfig) -> int:
                 for B in Bs
             ]
 
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            rows = [row for chunk in ex.map(work, tasks) for row in chunk]
+        rows = [row for n in cfg.ns for b in cfg.betas for row in work(n, b)]
     else:
         header = ("beta", "B", "psi", "M", "chi", "C", "t_hat")
-        tasks = [(b, B) for b in cfg.betas for B in Bs]
 
-        def work(task):
-            b, B = task
+        def work(b, B):
             params = thermo.ModelParams(cfg.d, b, B)
             try:
                 tp = thermo.thermo_point(params)
@@ -279,8 +268,7 @@ def cmd_thermo(cfg: RunConfig) -> int:
                 return (b, B, nan, nan, nan, nan, nan)
             return (b, B, tp.psi, tp.M, tp.chi, tp.C, tp.point.t_star)
 
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            rows = list(ex.map(work, tasks))
+        rows = [work(b, B) for b in cfg.betas for B in Bs]
     _emit_rows(cfg, header, rows)
     return 0
 

@@ -202,6 +202,18 @@ def _dL(s: float, d: int, beta: float, B: float) -> float:
     return dH_beta(0.5 + s, d, beta) + 2.0 * B
 
 
+def _dL_upper(s: np.ndarray, d: int, beta: float, B: float) -> np.ndarray:
+    """_dL element by element over offsets s > 0, by dH_beta's t >= 1/2 branch.
+
+    The same expression in the same order, so a scan over these values takes
+    the branch the scalar loop would; the values only ever decide signs.
+    """
+    t = 0.5 + s
+    s = t - 0.5
+    ent = np.log1p(-2.0 * s) - np.log1p(2.0 * s)
+    return ent - d * _logf(1.0 - t, math.exp(-2.0 * beta)) + 2.0 * B
+
+
 def _newton_polish(s: float, lo: float, hi: float, d: int, beta: float, B: float) -> float:
     """Newton inside a bracket with bisection fallback.
 
@@ -220,8 +232,9 @@ def _newton_polish(s: float, lo: float, hi: float, d: int, beta: float, B: float
             return s
         curv = d2H_beta(0.5 + s, d, beta)
         nxt = s - r / curv if curv != 0.0 else math.nan
-        if not lo <= nxt <= hi or nxt == s:
-            nxt = 0.5 * (lo + hi)  # fall back to bisection inside the bracket
+        if not lo < nxt < hi:
+            # a step outside the bracket, or onto an end of it, cannot shrink it
+            nxt = 0.5 * (lo + hi)
         if _dL(nxt, d, beta, B) * _dL(lo, d, beta, B) < 0:
             hi = nxt
         else:
@@ -241,6 +254,29 @@ def _bisect(lo: float, hi: float, flo: float, d: int, beta: float, B: float) -> 
             lo = mid
     return lo, hi
 
+
+_LOG_GRID = np.geomspace(1e-9, 0.5 - T_GUARD, 180)  # bracket scans, s = t - 1/2
+_UNIQUE_GRID = np.arange(0.5 + 1e-3, 1.0 - 0.5e-3, 1e-3) - 0.5  # uniqueness scan
+
+
+def _scan(grid: np.ndarray, lo: float, flo: float, d: int, beta: float, B: float):
+    """First sign change of dL along the increasing grid, starting from (lo, flo).
+
+    Returns (lo, flo, hi): hi is the first grid point whose value times the
+    previous one is <= 0, lo and flo the point before it. hi is None when no
+    such point exists.
+    """
+    vals = _dL_upper(grid, d, beta, B)
+    prev = np.concatenate(([flo], vals[:-1]))
+    hits = np.flatnonzero(prev * vals <= 0)
+    if hits.size == 0:
+        return lo, flo, None
+    i = int(hits[0])
+    if i > 0:
+        lo, flo = grid[i - 1], vals[i - 1]
+    return lo, flo, grid[i]
+
+
 def _count_sign_changes(d: int, beta: float, B: float) -> int:
     """Sign changes of dL on a 1e-3 grid of (1/2, 1), anchored at both ends.
 
@@ -248,11 +284,9 @@ def _count_sign_changes(d: int, beta: float, B: float) -> int:
     the first grid point, and deep in the ordered phase it sits above the
     last one; only the near-boundary evaluations see those.
     """
-    grid = np.arange(0.5 + 1e-3, 1.0 - 0.5e-3, 1e-3)
-    vals = [2.0 * B if B > 0 else _dL(1e-6, d, beta, 0.0)]
-    vals += [_dL(t - 0.5, d, beta, B) for t in grid]
-    vals.append(_dL(0.5 - T_GUARD, d, beta, B))  # same reach as the bracket scans
-    signs = np.sign(vals)
+    first = 2.0 * B if B > 0 else _dL(1e-6, d, beta, 0.0)
+    last = _dL(0.5 - T_GUARD, d, beta, B)  # same reach as the bracket scans
+    signs = np.sign(np.concatenate(([first], _dL_upper(_UNIQUE_GRID, d, beta, B), [last])))
     signs = signs[signs != 0]
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
@@ -267,16 +301,7 @@ def find_t_star(params: ModelParams) -> CriticalPoint:
     d, beta, B = params.d, params.beta, params.B
     if B <= 0:
         raise ValueError(f"B={B}: find_t_star needs B > 0")
-    s_max = 0.5 - T_GUARD
-    grid = np.geomspace(1e-9, s_max, 180)
-    lo, flo = 0.0, 2.0 * B  # dL(1/2) = 2B > 0 analytically
-    hi = None
-    for s in grid:
-        val = _dL(s, d, beta, B)
-        if flo * val <= 0:
-            hi = s
-            break
-        lo, flo = s, val
+    lo, flo, hi = _scan(_LOG_GRID, 0.0, 2.0 * B, d, beta, B)  # dL(1/2) = 2B > 0 analytically
     if hi is None:
         raise RootBracketError(
             f"dH + 2B has no sign change on (1/2, 1-{T_GUARD}) for d={d}, beta={beta}, B={B}"
@@ -307,13 +332,8 @@ def find_t_plus(params: ModelParams) -> CriticalPoint:
     hi = min(4.0 * seed, s_max)
     flo = _dL(lo, d, beta, 0.0)
     if not (flo > 0 and _dL(hi, d, beta, 0.0) < 0):
-        lo, flo, hi = 0.0, 1.0, None  # sign of dL(1/2+) is + since d2H(1/2) > 0
-        for s in np.geomspace(1e-9, s_max, 180):
-            val = _dL(s, d, beta, 0.0)
-            if flo * val <= 0:
-                hi = s
-                break
-            lo, flo = s, val
+        # sign of dL(1/2+) is + since d2H(1/2) > 0
+        lo, flo, hi = _scan(_LOG_GRID, 0.0, 1.0, d, beta, 0.0)
         if hi is None:
             raise RootBracketError(f"dH has no sign change on (1/2, 1) for d={d}, beta={beta}")
     if _count_sign_changes(d, beta, 0.0) != 1:

@@ -4,9 +4,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from annealed_ising import build_table, critical_beta, finite_pressure
+from annealed_ising import ModelParams, build_table, critical_beta, finite_pressure, thermo_point
 from annealed_ising.cli import main
 from annealed_ising.matching import cache_path
 
@@ -85,6 +86,19 @@ def test_thermo_limit_scan_straddles_transition(tmp_path):
     assert cs[6] - cs[5] > 3.0
 
 
+def test_thermo_limit_rows_are_thermo_point_in_grid_order(tmp_path):
+    out = tmp_path / "grid.csv"
+    argv = ["thermo", "--d", "3", "--beta-range", "0.1:1.6:7", "--B-range", "0:0.4:3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    expected = ["beta,B,psi,M,chi,C,t_hat"]
+    for b in np.linspace(0.1, 1.6, 7):
+        for B in np.linspace(0.0, 0.4, 3):
+            tp = thermo_point(ModelParams(3, float(b), float(B)))
+            row = (b, B, tp.psi, tp.M, tp.chi, tp.C, tp.point.t_star)
+            expected.append(",".join(repr(float(v)) for v in row))
+    assert out.read_text().splitlines() == expected
+
+
 def test_thermo_magnetization_monotone_in_field(tmp_path):
     out = tmp_path / "mb.csv"
     assert main(["thermo", "--d", "3", "--beta", "0.4", "--B-range", "0.0:0.5:6", "--out", str(out)]) == 0
@@ -140,6 +154,7 @@ def test_flag_conflicts_are_usage_errors():
     assert main(["thermo", "--d", "3", "--beta", "0.3", "--B", "0.1", "--B-range", "0:1:2"]) == 2
     assert main(["thermo", "--d", "3", "--beta-range", "0.2:0.1"]) == 2  # malformed range
     assert main(["thermo", "--d", "0", "--beta", "0.3"]) == 2
+    assert main(["thermo", "--d", "3", "--beta", "0.3", "--threads", "2"]) == 2  # no such flag
 
 
 # ---------------------------------------------------------------------------

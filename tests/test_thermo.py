@@ -1,7 +1,9 @@
 """Limit pressure, stationary points, and response functions."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from annealed_ising import (
@@ -23,8 +25,44 @@ from annealed_ising import (
     susceptibility,
     thermo_point,
 )
+from annealed_ising.thermo import T_GUARD, _LOG_GRID, _count_sign_changes, _dL, _scan
 
 BC3 = critical_beta(3)
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _sign_change_near(s, d, beta, B):
+    """dH + 2B changes sign within four ulps of the offset s = t - 1/2."""
+    window = [s]
+    for _ in range(4):
+        window.insert(0, math.nextafter(window[0], 0.0))
+        window.append(math.nextafter(window[-1], 1.0))
+    vals = [dH_beta(0.5 + w, d, beta) + 2.0 * B for w in window]
+    return min(vals) < 0.0 < max(vals)
+
+
+def _golden_section_pressure(d, beta, B):
+    """beta d/2 - B + max of H + 2Bt over [1/2, 1 - 1e-12], by golden section.
+
+    H + 2Bt is unimodal there for B >= 0, so no root finding is involved.
+    """
+    a, b = 0.5, 1.0 - 1e-12
+    L = lambda t: H_beta(t, d, beta) + 2.0 * B * t  # noqa: E731
+    c, e = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fe = L(c), L(e)
+    best = max(fc, fe)
+    while b - a > 1e-13:
+        if fc >= fe:
+            b, e, fe = e, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = L(c)
+            best = max(best, fc)
+        else:
+            a, c, fc = c, e, fe
+            e = a + _INVPHI * (b - a)
+            fe = L(e)
+            best = max(best, fe)
+    return beta * d / 2.0 - B + best
 
 
 # ---------------------------------------------------------------------------
@@ -178,19 +216,27 @@ def test_spontaneous_root_deep_in_ordered_phase():
     assert 0.5 < pt.t_star < 1.0
     assert pt.residual <= 1e-9
     # the sign change of dH sits within a few ulps of the returned point
-    s = pt.t_star - 0.5
-    window = [s]
-    for _ in range(4):
-        window.insert(0, math.nextafter(window[0], 0.0))
-        window.append(math.nextafter(window[-1], 1.0))
-    vals = [dH_beta(0.5 + w, 3, 2.5) for w in window]
-    assert min(vals) < 0.0 < max(vals)
+    assert _sign_change_near(pt.t_star - 0.5, 3, 2.5, 0.0)
     # magnetization keeps saturating monotonically toward 1
     ms = [2.0 * find_t_plus(ModelParams(3, b, 0.0)).t_star - 1.0 for b in (2.0, 2.5, 3.0, 4.0)]
     assert all(lo < hi < 1.0 for lo, hi in zip(ms, ms[1:]))
     # past the endpoint guard the root is unrepresentable and fails loudly
     with pytest.raises(RootBracketError):
         find_t_plus(ModelParams(3, 6.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "beta,B", [(1.5973451404888028, 0.0), (1.5847433736937233, 0.2263774618976614)]
+)
+def test_newton_steps_onto_a_bracket_end_fall_back_to_bisection(beta, B):
+    """At these points bisection leaves a bracket two ulps wide (~1.1e-16 at
+    s ~ 0.49992) and every Newton step lands exactly on one of its ends. Such
+    a step cannot shrink the bracket, so it must count as no progress."""
+    tp = thermo_point(ModelParams(3, beta, B))
+    assert all(math.isfinite(v) for v in (tp.psi, tp.M, tp.chi, tp.C))
+    assert tp.point.residual <= 1e-9
+    assert _sign_change_near(tp.point.t_star - 0.5, 3, beta, B)
+    assert tp.psi == pytest.approx(_golden_section_pressure(3, beta, B), rel=0.0, abs=1e-9)
 
 
 def test_spontaneous_root_rejections():
@@ -200,6 +246,47 @@ def test_spontaneous_root_rejections():
         find_t_plus(ModelParams(3, BC3, 0.0))
     with pytest.raises(NoNontrivialRootError):
         find_t_plus(ModelParams(3, BC3 - 0.01, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# the array scans against the scalar loops they replace
+
+
+def scalar_scan(grid, lo, flo, d, beta, B):
+    """The bracket scan as one scalar _dL call per grid point: the oracle for _scan."""
+    for s in grid:
+        val = _dL(s, d, beta, B)
+        if flo * val <= 0:
+            return lo, flo, s
+        lo, flo = s, val
+    return lo, flo, None
+
+
+def scalar_sign_changes(d, beta, B):
+    """The uniqueness scan as one scalar _dL call per grid point."""
+    grid = np.arange(0.5 + 1e-3, 1.0 - 0.5e-3, 1e-3)
+    vals = [2.0 * B if B > 0 else _dL(1e-6, d, beta, 0.0)]
+    vals += [_dL(t - 0.5, d, beta, B) for t in grid]
+    vals.append(_dL(0.5 - T_GUARD, d, beta, B))
+    signs = np.sign(vals)
+    signs = signs[signs != 0]
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_array_scans_match_scalar_loops(d):
+    rng = random.Random(d)
+    bc = critical_beta(d)
+    betas = [0.0, 3.0, bc - 1e-7, bc + 1e-7] + [rng.uniform(0.0, 3.0) for _ in range(12)]
+    for beta in betas:
+        for B in (0.0, 1e-9, 1e-3, 0.3, 1.0):
+            assert _count_sign_changes(d, beta, B) == scalar_sign_changes(d, beta, B)
+            flo = 2.0 * B if B > 0 else 1.0  # the finders' starting values
+            lo, f, hi = _scan(_LOG_GRID, 0.0, flo, d, beta, B)
+            lo_ref, f_ref, hi_ref = scalar_scan(_LOG_GRID, 0.0, flo, d, beta, B)
+            assert hi == hi_ref
+            if hi is not None:
+                assert lo == lo_ref and np.sign(f) == np.sign(f_ref)
 
 
 # ---------------------------------------------------------------------------
