@@ -1,14 +1,28 @@
 """Thermodynamic-limit pressure and its derivatives for the annealed model.
 
-Everything reduces to the scalar variational problem
+The annealed pressure on random d-regular graphs is the Bethe pressure of the
+d-regular tree (Dembo & Montanari 2010; Can 2017). With theta = tanh(beta),
+h the largest root of the fixed-point equation
+
+    h = B + (d-1) atanh(theta tanh h)
+
+and x = theta tanh h,
+
+    psi = (d/2) log cosh(beta) - (d/2) log(1 + theta tanh^2 h)
+          + log(e^B (1+x)^d + e^-B (1-x)^d),
+    M   = tanh(B + d atanh x).
+
+chi = dM/dB and C = d^2 psi/dbeta^2 follow by implicit differentiation of
+the fixed-point equation: one Newton solve gives all four, with no quadrature.
+
+The same pressure is the variational form
 
     psi(beta, B) = beta*d/2 - B + max_t [ H(t) + 2*B*t ],
 
 with H(t) = (t-1)log(1-t) - t log t + d*F(t) and F the integral of log f from
-0 to min(t, 1-t). Stationary points of L(t) = H(t) + 2Bt are bracketed on a
-log-spaced grid of s = t - 1/2 and polished by Newton using the closed-form
-curvature. Magnetization, susceptibility and the specific heat all come from
-derivatives of L at the maximizer.
+0 to min(t, 1-t), maximised at t_hat = (1 + M)/2. f_beta, F_beta, H_beta,
+dH_beta and d2H_beta keep that form as the documented statement of the
+problem and as an independent oracle; the limit quantities never evaluate it.
 """
 
 from __future__ import annotations
@@ -42,7 +56,11 @@ __all__ = [
     "thermo_point",
 ]
 
-T_GUARD = 1e-12  # evaluations clamped to [T_GUARD, 1 - T_GUARD]
+# A maximizer is reported only while 1 - t_hat >= T_GUARD. The solver never
+# forms 1 - t, but t_hat = (1 + M)/2 is a float on a 2^-53 grid, so below the
+# guard 1 - t_hat keeps fewer than two significant digits (it is one ulp at
+# d=3, beta=6, B=0, and t_hat rounds to 1 at d=3, beta=0.3, B=50).
+T_GUARD = 1e-14
 
 
 class RootBracketError(RuntimeError):
@@ -83,7 +101,8 @@ class CriticalPoint:
     """A stationary point of L(t) = H(t) + 2Bt on (0, 1).
 
     kind: 'field' for dH + 2B = 0 with B > 0, 'spontaneous' for dH = 0 with
-    beta > beta_c, 'trivial' for t = 1/2. residual is the achieved |dL/dt|.
+    beta > beta_c, 'trivial' for t = 1/2. t_star = (1 + M)/2. residual is the
+    fixed-point residual |h - B - (d-1) atanh(theta tanh h)| at the returned h.
     """
 
     t_star: float
@@ -195,130 +214,95 @@ def critical_beta(d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# stationary points
+# the Bethe fixed point
 
 
-def _dL(s: float, d: int, beta: float, B: float) -> float:
-    return dH_beta(0.5 + s, d, beta) + 2.0 * B
+def _tanh_pair(z: float) -> tuple[float, float]:
+    """(tanh z, 1 - tanh z) for z >= 0, each to full relative precision."""
+    e = math.exp(-2.0 * z)
+    return -math.expm1(-2.0 * z) / (1.0 + e), 2.0 * e / (1.0 + e)
 
 
-def _dL_upper(s: np.ndarray, d: int, beta: float, B: float) -> np.ndarray:
-    """_dL element by element over offsets s > 0, by dH_beta's t >= 1/2 branch.
+def _bethe(params: ModelParams, kind: str) -> ThermoPoint:
+    """psi, M, chi and C at the fixed point of h = B + (d-1) atanh(theta tanh h).
 
-    The same expression in the same order, so a scan over these values takes
-    the branch the scalar loop would; the values only ever decide signs.
+    kind 'trivial' takes h = 0 (B = 0 at or below beta_c). Otherwise Newton
+    starts from h = B + (d-1) beta, where g(h) = h - B - (d-1) atanh(theta
+    tanh h) is positive because the atanh term stays below beta. g is convex
+    on h > 0 (the slope theta / (1 + (1-theta^2) sinh^2 h) of the atanh term
+    falls), so the iterates fall monotonically onto its largest root, which
+    is its only positive one: for B > 0 because g(B) < 0, and for B = 0 above
+    beta_c because g(0) = 0 with g'(0) = 1 - (d-1) theta < 0. The guard is
+    for rounding alone: a step that leaves the bracket [lo, hi] bisects it
+    (geometrically while lo > 0, so a field of 1e-300 takes a handful of
+    steps), and the loop stops once a step no longer moves h.
+
+    1 - tanh^2 and 1 - x^2 are formed as (1 - y)(1 + y) from exponentials, so
+    deep in the ordered phase every output keeps its relative precision.
     """
-    t = 0.5 + s
-    s = t - 0.5
-    ent = np.log1p(-2.0 * s) - np.log1p(2.0 * s)
-    return ent - d * _logf(1.0 - t, math.exp(-2.0 * beta)) + 2.0 * B
-
-
-def _newton_polish(s: float, lo: float, hi: float, d: int, beta: float, B: float) -> float:
-    """Newton inside a bracket with bisection fallback.
-
-    Stops at residual 1e-12, or at bracket exhaustion (no representable point
-    left strictly between lo and hi): when the root sits close to t = 1 the
-    cancellation in 1 - t floors the evaluation noise of dL above 1e-12, so
-    the target is unreachable there and the best point seen is the answer.
-    The achieved residual travels on the CriticalPoint either way.
-    """
-    best_s, best_r = s, math.inf
-    for _ in range(120):
-        r = _dL(s, d, beta, B)
-        if abs(r) < best_r:
-            best_s, best_r = s, abs(r)
-        if abs(r) <= 1e-12:
-            return s
-        curv = d2H_beta(0.5 + s, d, beta)
-        nxt = s - r / curv if curv != 0.0 else math.nan
+    d, beta, B = params.d, params.beta, params.B
+    th, om_th = _tanh_pair(beta)
+    if om_th == 0.0:
+        raise RootBracketError(f"tanh(beta) rounds to 1 at beta={beta}: no finite fixed point")
+    lo, hi = B, B + (d - 1) * beta  # g(lo) <= 0 < g(hi)
+    h = 0.0 if kind == "trivial" else hi
+    for _ in range(100):
+        y, om_y = _tanh_pair(h)
+        x, om_x, om_y2 = th * y, om_th + th * om_y, om_y * (1.0 + y)
+        u = 0.5 * math.log1p(2.0 * x / om_x)  # atanh x
+        g = h - B - (d - 1) * u
+        den = om_th * (1.0 + x * y) - (d - 2) * th * om_y2  # (1 - x^2) g'(h)
+        if g == 0.0:
+            break
+        if g > 0.0:
+            hi = h
+        else:
+            lo = h
+        nxt = h - g * om_x * (1.0 + x) / den if den > 0.0 else math.nan
+        if nxt == h:
+            break
         if not lo < nxt < hi:
-            # a step outside the bracket, or onto an end of it, cannot shrink it
-            nxt = 0.5 * (lo + hi)
-        if _dL(nxt, d, beta, B) * _dL(lo, d, beta, B) < 0:
-            hi = nxt
-        else:
-            lo = nxt
-        s = nxt
-        if math.nextafter(lo, hi) >= hi:
-            return best_s
-    raise RootBracketError(f"Newton failed to reach residual 1e-12 (d={d}, beta={beta}, B={B})")
+            nxt = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
+            if not lo < nxt < hi:
+                break
+        h = nxt
+    else:
+        raise RootBracketError(f"Newton did not settle in 100 steps (d={d}, beta={beta}, B={B})")
 
-
-def _bisect(lo: float, hi: float, flo: float, d: int, beta: float, B: float) -> tuple[float, float]:
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if flo * _dL(mid, d, beta, B) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
-_LOG_GRID = np.geomspace(1e-9, 0.5 - T_GUARD, 180)  # bracket scans, s = t - 1/2
-_UNIQUE_GRID = np.arange(0.5 + 1e-3, 1.0 - 0.5e-3, 1e-3) - 0.5  # uniqueness scan
-
-
-def _scan(grid: np.ndarray, lo: float, flo: float, d: int, beta: float, B: float):
-    """First sign change of dL along the increasing grid, starting from (lo, flo).
-
-    Returns (lo, flo, hi): hi is the first grid point whose value times the
-    previous one is <= 0, lo and flo the point before it. hi is None when no
-    such point exists.
-    """
-    vals = _dL_upper(grid, d, beta, B)
-    prev = np.concatenate(([flo], vals[:-1]))
-    hits = np.flatnonzero(prev * vals <= 0)
-    if hits.size == 0:
-        return lo, flo, None
-    i = int(hits[0])
-    if i > 0:
-        lo, flo = grid[i - 1], vals[i - 1]
-    return lo, flo, grid[i]
-
-
-def _count_sign_changes(d: int, beta: float, B: float) -> int:
-    """Sign changes of dL on a 1e-3 grid of (1/2, 1), anchored at both ends.
-
-    The anchors matter: for small B or beta near beta_c the root sits below
-    the first grid point, and deep in the ordered phase it sits above the
-    last one; only the near-boundary evaluations see those.
-    """
-    first = 2.0 * B if B > 0 else _dL(1e-6, d, beta, 0.0)
-    last = _dL(0.5 - T_GUARD, d, beta, B)  # same reach as the bracket scans
-    signs = np.sign(np.concatenate(([first], _dL_upper(_UNIQUE_GRID, d, beta, B), [last])))
-    signs = signs[signs != 0]
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+    H = B + d * u
+    q = math.exp(-2.0 * H)
+    t_hat = 0.5 - 0.5 * math.expm1(-2.0 * H) / (1.0 + q)
+    if 1.0 - t_hat < T_GUARD:
+        raise RootBracketError(
+            f"t_hat={t_hat!r} lies within {T_GUARD} of t = 1 for d={d}, beta={beta}, B={B}"
+        )
+    point = CriticalPoint(t_hat, kind, abs(g))
+    om_th2 = om_th * (1.0 + th)  # 1 - theta^2 = 1 / cosh^2(beta)
+    psi = B + d * math.log1p(x) + math.log1p(q) - 0.25 * d * math.log(om_th2)
+    psi -= 0.5 * d * math.log1p(x * y)
+    M = 2.0 * t_hat - 1.0
+    if _at_criticality(params):
+        return ThermoPoint(psi, M, math.inf, math.nan, point)
+    chi = 4.0 * q / (1.0 + q) ** 2 * (1.0 + th) * (om_th + th * om_y2) / den
+    dh_dbeta = (d - 1) * om_th2 * y / den
+    C = 0.5 * d * om_th2 * om_y2 / (1.0 + x * y) ** 2 * (1.0 + y * y + 2.0 * y * dh_dbeta)
+    return ThermoPoint(psi, M, chi, C, point)
 
 
 def find_t_star(params: ModelParams) -> CriticalPoint:
-    """Unique maximizer of L on (1/2, 1) for B > 0: root of dH + 2B.
+    """Unique maximizer of L = H + 2Bt on (1/2, 1) for B > 0: root of dH + 2B.
 
-    Log-spaced bracket scan in s = t - 1/2 (the root can sit anywhere between
-    ~B/|d2H| and 1/2), bisection to 1e-8, Newton to residual 1e-12. A 1e-3
-    grid check confirms the sign change is unique.
+    t_star is (1 + M)/2 at the Bethe fixed point; nothing in t is solved.
     """
-    d, beta, B = params.d, params.beta, params.B
-    if B <= 0:
-        raise ValueError(f"B={B}: find_t_star needs B > 0")
-    lo, flo, hi = _scan(_LOG_GRID, 0.0, 2.0 * B, d, beta, B)  # dL(1/2) = 2B > 0 analytically
-    if hi is None:
-        raise RootBracketError(
-            f"dH + 2B has no sign change on (1/2, 1-{T_GUARD}) for d={d}, beta={beta}, B={B}"
-        )
-    if _count_sign_changes(d, beta, B) != 1:
-        raise RootBracketError(f"multiple stationary points for d={d}, beta={beta}, B={B}")
-    lo, hi = _bisect(lo, hi, flo, d, beta, B)
-    s = _newton_polish(0.5 * (lo + hi), lo, hi, d, beta, B)
-    return CriticalPoint(0.5 + s, "field", abs(_dL(s, d, beta, B)))
+    if params.B <= 0:
+        raise ValueError(f"B={params.B}: find_t_star needs B > 0")
+    return _bethe(params, "field").point
 
 
 def find_t_plus(params: ModelParams) -> CriticalPoint:
     """Nontrivial root t_+ of dH on (1/2, 1) for B = 0, beta > beta_c.
 
-    Seeded by the near-critical asymptotic s_+ ~ sqrt(3 d^2 (beta-beta_c) /
-    (4(d-1))); the scan falls back to the full log grid when the seed's
-    bracket fails (far above beta_c).
+    t_star is (1 + M)/2 at the positive Bethe fixed point.
     """
     d, beta = params.d, params.beta
     if d < 3:
@@ -326,30 +310,7 @@ def find_t_plus(params: ModelParams) -> CriticalPoint:
     bc = critical_beta(d)
     if beta <= bc:
         raise NoNontrivialRootError(f"beta={beta} <= beta_c={bc:.12g}: only the trivial root 1/2")
-    s_max = 0.5 - T_GUARD
-    seed = math.sqrt(3.0 * d * d * (beta - bc) / (4.0 * (d - 1.0)))
-    lo = min(0.25 * seed, 0.25)
-    hi = min(4.0 * seed, s_max)
-    flo = _dL(lo, d, beta, 0.0)
-    if not (flo > 0 and _dL(hi, d, beta, 0.0) < 0):
-        # sign of dL(1/2+) is + since d2H(1/2) > 0
-        lo, flo, hi = _scan(_LOG_GRID, 0.0, 1.0, d, beta, 0.0)
-        if hi is None:
-            raise RootBracketError(f"dH has no sign change on (1/2, 1) for d={d}, beta={beta}")
-    if _count_sign_changes(d, beta, 0.0) != 1:
-        raise RootBracketError(f"nontrivial root not unique for d={d}, beta={beta}")
-    lo, hi = _bisect(lo, hi, flo, d, beta, 0.0)
-    s = _newton_polish(0.5 * (lo + hi), lo, hi, d, beta, 0.0)
-    return CriticalPoint(0.5 + s, "spontaneous", abs(_dL(s, d, beta, 0.0)))
-
-
-def _t_hat(params: ModelParams) -> CriticalPoint:
-    """The maximizer used by all limit quantities (B = 0 means the 0+ limit)."""
-    if params.B > 0:
-        return find_t_star(params)
-    if params.d >= 3 and params.beta > critical_beta(params.d):
-        return find_t_plus(params)
-    return CriticalPoint(0.5, "trivial", 0.0)
+    return _bethe(ModelParams(d, beta, 0.0), "spontaneous").point
 
 
 # ---------------------------------------------------------------------------
@@ -358,83 +319,41 @@ def _t_hat(params: ModelParams) -> CriticalPoint:
 
 def pressure(params: ModelParams) -> float:
     """psi(beta, B) = beta d/2 - B + L(t_hat)."""
-    point = _t_hat(params)
-    t = point.t_star
-    L = H_beta(t, params.d, params.beta) + 2.0 * params.B * t
-    return params.beta * params.d / 2.0 - params.B + L
+    return thermo_point(params).psi
 
 
 def magnetization(params: ModelParams) -> float:
     """M = 2 t_hat - 1; at B = 0 this is the spontaneous (0+) value."""
-    return 2.0 * _t_hat(params).t_star - 1.0
+    return thermo_point(params).M
 
 
 def susceptibility(params: ModelParams) -> float:
-    """chi = -4 / d2H(t_hat) > 0 on the uniqueness region; +inf at (beta_c, 0)."""
-    if _at_criticality(params):
-        return math.inf
-    return -4.0 / d2H_beta(_t_hat(params).t_star, params.d, params.beta)
+    """chi = dM/dB > 0 on the uniqueness region; +inf at (beta_c, 0)."""
+    return thermo_point(params).chi
 
 
 def specific_heat(params: ModelParams) -> float:
-    """C = d^2 psi/d beta^2 = dbbL(t_hat) - dtbL(t_hat)^2 / dttL(t_hat).
-
-    The mixed term vanishes at t_hat = 1/2, so below beta_c (at B = 0) only
-    the quadrature term survives. Exactly at (beta_c, 0) the two one-sided
-    limits differ and no value is returned.
-    """
+    """C = d^2 psi/d beta^2. Exactly at (beta_c, 0) the two one-sided limits
+    differ and no value is returned."""
     if _at_criticality(params):
         raise UndefinedAtCriticalityError(
             f"specific heat has unequal one-sided limits at beta_c={params.beta!r}, B=0"
         )
-    point = _t_hat(params)
-    t = point.t_star
-    dbb = _dbb_L(t, params.d, params.beta)
-    if t == 0.5:
-        return dbb
-    dtb = _dtb_L(t, params.d, params.beta)
-    return dbb - dtb * dtb / d2H_beta(t, params.d, params.beta)
+    return thermo_point(params).C
 
 
 def thermo_point(params: ModelParams) -> ThermoPoint:
-    """Assemble psi, M, chi, C at one parameter point.
+    """Assemble psi, M, chi, C at one parameter point (B = 0 means the 0+ limit).
 
     At exactly (beta_c, 0) chi is reported infinite and C as nan rather than
     raising; scans are expected to straddle the critical point.
     """
-    point = _t_hat(params)
-    t = point.t_star
-    psi = params.beta * params.d / 2.0 - params.B + H_beta(t, params.d, params.beta) + 2.0 * params.B * t
-    M = 2.0 * t - 1.0
-    if _at_criticality(params):
-        return ThermoPoint(psi, M, math.inf, math.nan, point)
-    chi = -4.0 / d2H_beta(t, params.d, params.beta)
-    dbb = _dbb_L(t, params.d, params.beta)
-    if t == 0.5:
-        C = dbb
-    else:
-        dtb = _dtb_L(t, params.d, params.beta)
-        C = dbb - dtb * dtb / d2H_beta(t, params.d, params.beta)
-    return ThermoPoint(psi, M, chi, C, point)
+    if params.B > 0:
+        return _bethe(params, "field")
+    if params.d >= 3 and params.beta > critical_beta(params.d):
+        return _bethe(params, "spontaneous")
+    return _bethe(params, "trivial")
 
 
 def _at_criticality(params: ModelParams) -> bool:
     return params.B == 0.0 and params.d >= 3 and params.beta == critical_beta(params.d)
-
-
-def _dtb_L(t: float, d: int, beta: float) -> float:
-    """Mixed derivative d^2L/dt dbeta = 2 d c (2t-1) / sqrt(1 + (c^2-1)(2t-1)^2)."""
-    c = math.exp(-2.0 * beta)
-    u = 2.0 * t - 1.0
-    return 2.0 * d * c * u / math.sqrt(1.0 + (c * c - 1.0) * u * u)
-
-
-def _dbb_L(t: float, d: int, beta: float) -> float:
-    """d^2L/dbeta^2 = 2 d c * integral_{|2t-1|}^{1} u(1-u^2)/(1+(c^2-1)u^2)^{3/2} du."""
-    c = math.exp(-2.0 * beta)
-    a = c * c - 1.0
-
-    def integrand(u):
-        return u * (1.0 - u * u) / np.power(1.0 + a * u * u, 1.5)
-
-    return 2.0 * d * c * adaptive_quad(integrand, abs(2.0 * t - 1.0), 1.0, tol=1e-13)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from annealed_ising import ModelParams, build_table, critical_beta, finite_pressure, thermo_point
 from annealed_ising.cli import main
 from annealed_ising.matching import cache_path
+from test_thermo import _golden_section_pressure
 
 BC3 = critical_beta(3)
 
@@ -97,6 +99,24 @@ def test_thermo_limit_rows_are_thermo_point_in_grid_order(tmp_path):
             row = (b, B, tp.psi, tp.M, tp.chi, tp.C, tp.point.t_star)
             expected.append(",".join(repr(float(v)) for v in row))
     assert out.read_text().splitlines() == expected
+
+
+def test_thermo_reaches_the_deep_ordered_rows(tmp_path, capsys):
+    """Every row of the d=5 grid is finite, down to 1 - t_hat = 1.3e-14 at
+    (beta, B) = (3, 1); the variational path left 151 of them nan."""
+    out = tmp_path / "d5.csv"
+    argv = ["thermo", "--d", "5", "--beta-range", "0.01:3:60", "--B-range", "0:1:21"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    header, rows = read_csv(out)
+    vals = [[float(r[k]) for k in header] for r in rows]
+    assert len(vals) == 1260
+    assert all(math.isfinite(v) for row in vals for v in row)
+    assert all(row[3] == 2.0 * row[6] - 1.0 for row in vals)
+    # the last row is (3, 1) and row 1218 is (2.95, 0); the rest are seeded
+    for i in [1259, 1218] + random.Random(5).sample(range(1260), 4):
+        b, B, psi = vals[i][:3]
+        assert psi == pytest.approx(_golden_section_pressure(5, b, B), rel=0.0, abs=1e-9), (b, B)
 
 
 def test_thermo_magnetization_monotone_in_field(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from annealed_ising import (
@@ -66,6 +67,38 @@ def test_scaling_limit_mgf_values():
     r = 1e-2
     expect = 1.0 + r * r * lim.moment2 / 2.0 + r**4 * lim.moment4 / 24.0
     assert lim.mgf(r) == pytest.approx(expect, rel=1e-9)
+
+
+def _gl_mgf(a, r, panels=200, npts=32):
+    """E[exp(rX)] under exp(-a x^4) by composite Gauss-Legendre on [-L, L].
+
+    Each integrand is divided by its peak value exp(max_y (-a y^4 + r y)),
+    so both integrals stay O(1) at any r and the peak returns as one factor.
+    L puts both integrands below 1e-34 of their peaks at the ends (asserted).
+    """
+    x, w = np.polynomial.legendre.leggauss(npts)
+    y0 = math.copysign((abs(r) / (4.0 * a)) ** (1.0 / 3.0), r)
+    top = -a * y0**4 + r * y0
+    L = abs(y0) + (100.0 / a) ** 0.25
+    edges = np.linspace(-L, L, panels + 1)
+    half = 0.5 * np.diff(edges)
+    ys = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * x[None, :]
+
+    def integral(rr, peak):
+        vals = np.exp(-a * ys**4 + rr * ys - peak)
+        assert vals[0, 0] < 1e-34 and vals[-1, -1] < 1e-34
+        return float(np.sum(half * (vals @ w)))
+
+    return math.exp(top) * integral(r, top) / integral(0.0, 0.0)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("r", [-3.5, 3.5, 5.0, 10.0])
+def test_scaling_limit_mgf_at_large_r(d, r):
+    """mgf holds to 1e-12 relative over the range |r| <= 10 that mgf_scaled
+    accepts, where it grows to ~1e16 at d=3 and r=10."""
+    lim = scaling_limit(d)
+    assert lim.mgf(r) == pytest.approx(_gl_mgf(lim.quartic_coeff, r), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from annealed_ising import (
     susceptibility,
     thermo_point,
 )
-from annealed_ising.thermo import T_GUARD, _LOG_GRID, _count_sign_changes, _dL, _scan
+from annealed_ising.quadrature import adaptive_quad
+from annealed_ising.thermo import T_GUARD
 
 BC3 = critical_beta(3)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -249,44 +251,212 @@ def test_spontaneous_root_rejections():
 
 
 # ---------------------------------------------------------------------------
-# the array scans against the scalar loops they replace
+# the variational t-form as the oracle for the Bethe solver
+
+_ULP1 = 2.0**-52  # ulp(1)
 
 
-def scalar_scan(grid, lo, flo, d, beta, B):
-    """The bracket scan as one scalar _dL call per grid point: the oracle for _scan."""
-    for s in grid:
-        val = _dL(s, d, beta, B)
-        if flo * val <= 0:
-            return lo, flo, s
-        lo, flo = s, val
-    return lo, flo, None
+def _dL(s, d, beta, B):
+    return dH_beta(0.5 + s, d, beta) + 2.0 * B
 
 
-def scalar_sign_changes(d, beta, B):
-    """The uniqueness scan as one scalar _dL call per grid point."""
-    grid = np.arange(0.5 + 1e-3, 1.0 - 0.5e-3, 1e-3)
+def _sign_changes(d, beta, B):
+    """Sign changes of dH + 2B on a 1e-3 grid of (1/2, 1), anchored at both ends.
+
+    The anchors matter: for small B or beta near beta_c the root sits below
+    the first grid point, and deep in the ordered phase it sits above the
+    last one; only the near-boundary evaluations see those.
+    """
     vals = [2.0 * B if B > 0 else _dL(1e-6, d, beta, 0.0)]
-    vals += [_dL(t - 0.5, d, beta, B) for t in grid]
-    vals.append(_dL(0.5 - T_GUARD, d, beta, B))
+    vals += [_dL(t - 0.5, d, beta, B) for t in np.arange(0.5 + 1e-3, 1.0 - 0.5e-3, 1e-3)]
+    vals.append(_dL(0.5 - 0.5 * T_GUARD, d, beta, B))
     signs = np.sign(vals)
     signs = signs[signs != 0]
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
+def _root_straddled(t, d, beta, B):
+    """dH + 2B is positive below t and negative above it, four ulps out.
+
+    Where the t-form cannot resolve its own root that finely, the window
+    widens by four times its noise band: the evaluation error of dL (8 ulps
+    of each of its terms) over the curvature |d2H(t)|.
+    """
+    s = t - 0.5
+    parts = (math.log1p(-2.0 * s), math.log1p(2.0 * s), d * math.log(f_beta(1.0 - t, beta)))
+    noise = 8.0 * _ULP1 * (sum(abs(v) for v in parts) + 2.0 * B)
+    width = 4.0 * 2.0**-53 + 4.0 * noise / abs(d2H_beta(t, d, beta))
+    return _dL(s - width, d, beta, B) > 0.0 > _dL(s + width, d, beta, B)
+
+
+def _dtb_L(t, d, beta):
+    """Mixed derivative d^2L/dt dbeta = 2 d c (2t-1) / sqrt(1 + (c^2-1)(2t-1)^2)."""
+    c = math.exp(-2.0 * beta)
+    u = 2.0 * t - 1.0
+    return 2.0 * d * c * u / math.sqrt(1.0 + (c * c - 1.0) * u * u)
+
+
+def _dbb_L(t, d, beta):
+    """d^2L/dbeta^2 = 2 d c * integral_{|2t-1|}^{1} u(1-u^2)/(1+(c^2-1)u^2)^{3/2} du."""
+    c = math.exp(-2.0 * beta)
+    a = c * c - 1.0
+
+    def integrand(u):
+        return u * (1.0 - u * u) / np.power(1.0 + a * u * u, 1.5)
+
+    return 2.0 * d * c * adaptive_quad(integrand, abs(2.0 * t - 1.0), 1.0, tol=1e-13)
+
+
 @pytest.mark.parametrize("d", [3, 4, 5])
-def test_array_scans_match_scalar_loops(d):
+def test_bethe_point_is_the_maximizer_of_the_t_form(d):
+    """The Bethe fixed point against the variational form it replaces.
+
+    t_hat must sit at the one sign change of dH + 2B; psi must be the golden-
+    section maximum of H + 2Bt; chi and C must match -4/d2H and the
+    dbb - dtb^2/d2H quadrature form at t_hat. Those two forms lose
+    ulp(1)/(1 - t_hat) to the cancellation in 1 - t and ulp(1)/|d2H| near
+    beta_c, so they are held to 16 times that.
+    """
     rng = random.Random(d)
     bc = critical_beta(d)
-    betas = [0.0, 3.0, bc - 1e-7, bc + 1e-7] + [rng.uniform(0.0, 3.0) for _ in range(12)]
+    betas = [0.0, 3.0, bc - 1e-7, bc + 1e-7] + [rng.uniform(0.0, 3.0) for _ in range(3)]
     for beta in betas:
-        for B in (0.0, 1e-9, 1e-3, 0.3, 1.0):
-            assert _count_sign_changes(d, beta, B) == scalar_sign_changes(d, beta, B)
-            flo = 2.0 * B if B > 0 else 1.0  # the finders' starting values
-            lo, f, hi = _scan(_LOG_GRID, 0.0, flo, d, beta, B)
-            lo_ref, f_ref, hi_ref = scalar_scan(_LOG_GRID, 0.0, flo, d, beta, B)
-            assert hi == hi_ref
-            if hi is not None:
-                assert lo == lo_ref and np.sign(f) == np.sign(f_ref)
+        for B in (0.0, 1e-9, 1e-3, 0.05, 0.3, 1.0):
+            tp = thermo_point(ModelParams(d, beta, B))
+            t = tp.point.t_star
+            if tp.point.kind == "trivial":
+                assert t == 0.5 and tp.M == 0.0
+            else:
+                assert _sign_changes(d, beta, B) == 1, (beta, B)
+                assert _root_straddled(t, d, beta, B), (beta, B, t)
+            assert tp.psi == pytest.approx(_golden_section_pressure(d, beta, B), rel=0.0, abs=1e-9)
+            d2 = d2H_beta(t, d, beta)
+            C = _dbb_L(t, d, beta)
+            if t != 0.5:
+                C -= _dtb_L(t, d, beta) ** 2 / d2
+            tol = 16.0 * _ULP1 * (1.0 / (1.0 - t) + 1.0 / abs(d2))
+            assert tp.chi == pytest.approx(-4.0 / d2, rel=tol), (beta, B)
+            assert tp.C == pytest.approx(C, rel=tol), (beta, B)
+
+
+def test_roots_beyond_the_guard_lie_there():
+    """Points refused for 1 - t_hat < T_GUARD have dH + 2B > 0 at 1 - 2 T_GUARD."""
+    for d, beta, B in ((3, 6.0, 0.0), (3, 0.3, 50.0), (5, 3.0, 1.5), (4, 4.5, 0.0)):
+        with pytest.raises(RootBracketError):
+            thermo_point(ModelParams(d, beta, B))
+        assert _dL(0.5 - 2.0 * T_GUARD, d, beta, B) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# a 60-digit Decimal oracle
+
+
+def _dec_tanh(z):
+    e = (-2 * z).exp()
+    return (1 - e) / (1 + e)
+
+
+def _dec_atanh(x):
+    return ((1 + x) / (1 - x)).ln() / 2
+
+
+def _dec_bethe(d, beta, B, h=None):
+    """(psi, M, h) of the Bethe form in Decimal, by Newton on the fixed point.
+
+    Newton starts at h (or at B + (d-1) beta, above the largest root) and
+    stops once a step is below 1e-40; the error of h is then the square of
+    that, or the 60-digit noise floor over g' (~1e-52 at beta_c +- 1e-7).
+    """
+    th = _dec_tanh(beta)
+    h = B + (d - 1) * beta if h is None else h
+    for _ in range(200):
+        y = _dec_tanh(h)
+        x = th * y
+        g = h - B - (d - 1) * _dec_atanh(x)
+        step = g / (1 - (d - 1) * th * (1 - y * y) / (1 - x * x))
+        h -= step
+        if abs(step) < Decimal("1e-40"):
+            break
+    else:
+        raise AssertionError("Decimal Newton did not settle")
+    y = _dec_tanh(h)
+    x = th * y
+    cosh = ((beta).exp() + (-beta).exp()) / 2
+    psi = (
+        d * cosh.ln() / 2
+        - d * (1 + th * y * y).ln() / 2
+        + (B.exp() * (1 + x) ** d + (-B).exp() * (1 - x) ** d).ln()
+    )
+    return psi, _dec_tanh(B + d * _dec_atanh(x)), h
+
+
+def _dec_point(d, beta, B):
+    """psi, M, chi and C in Decimal; chi and C by central differences of M and psi.
+
+    B = 0 means the 0+ branch: the differences in B start Newton from the
+    positive root, so B - delta stays on it.
+    """
+    beta, B = Decimal(beta), Decimal(B)
+    psi, M, h = _dec_bethe(d, beta, B)
+    db, dbeta = Decimal("1e-20"), Decimal("1e-15")
+    chi = (_dec_bethe(d, beta, B + db, h)[1] - _dec_bethe(d, beta, B - db, h)[1]) / (2 * db)
+    up = _dec_bethe(d, beta + dbeta, B, h)[0]
+    down = _dec_bethe(d, beta - dbeta, B, h)[0]
+    return psi, M, chi, (up - 2 * psi + down) / (dbeta * dbeta)
+
+
+def _decimal_grid():
+    rng = random.Random(2024)
+    pts = [(5, 2.9, 0.0), (5, 2.7, 0.9), (5, 3.0, 1.0)]
+    for d in (3, 4, 5):
+        bc = critical_beta(d)
+        pts += [(d, bc - 1e-7, 0.0), (d, bc + 1e-7, 0.0)]
+        pts += [(d, rng.uniform(0.0, 3.0), rng.choice([0.0, 1e-3, 0.05, 0.3, 1.0])) for _ in range(5)]
+        pts += [(d, bc + rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 0.1), 0.0) for _ in range(2)]
+    return pts
+
+
+def test_limit_quantities_match_a_decimal_oracle():
+    """psi, chi and C within 1e-12 relative and M within 2.3e-16 absolute away
+    from beta_c (|beta - beta_c| >= 1e-3 or B >= 1e-3); all four within 1e-8
+    relative at beta_c +- 1e-7, B = 0, where 1 - (d-1) theta ~ 1e-7 sets the
+    conditioning. The oracle shares only the closed form of psi and M: chi and
+    C are its own finite differences."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for d, beta, B in _decimal_grid():
+            tp = thermo_point(ModelParams(d, beta, B))
+            ref = [float(v) for v in _dec_point(d, beta, B)]
+            far = abs(beta - critical_beta(d)) >= 1e-3 or B >= 1e-3
+            rel = 1e-12 if far else 1e-8
+            where = (d, beta, B)
+            assert tp.psi == pytest.approx(ref[0], rel=rel, abs=0.0), where
+            if far:
+                assert abs(tp.M - ref[1]) <= 2.3e-16, where
+            else:  # below beta_c the oracle's Newton ends ~1e-52 above the root h = 0
+                assert tp.M == pytest.approx(ref[1], rel=rel, abs=1e-40), where
+            assert tp.chi == pytest.approx(ref[2], rel=rel, abs=0.0), where
+            assert tp.C == pytest.approx(ref[3], rel=rel, abs=0.0), where
+
+
+def test_thermo_point_evaluates_no_variational_form(monkeypatch):
+    """The limit path runs on the fixed point alone: no quadrature, no H."""
+    from annealed_ising import thermo
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the limit path evaluated the variational form")
+
+    for name in ("adaptive_quad", "F_beta", "H_beta", "dH_beta", "d2H_beta"):
+        monkeypatch.setattr(thermo, name, forbidden)
+    for p in (ModelParams(3, 0.3, 0.0), ModelParams(3, BC3, 0.0), ModelParams(3, 0.8, 0.0),
+              ModelParams(4, 0.4, 0.2), ModelParams(5, 2.9, 0.0)):
+        thermo_point(p)
+        pressure(p)
+        magnetization(p)
+        susceptibility(p)
+    specific_heat(ModelParams(4, 0.4, 0.2))
+    find_t_star(ModelParams(4, 0.4, 0.2))
+    find_t_plus(ModelParams(3, 0.8, 0.0))
 
 
 # ---------------------------------------------------------------------------
