@@ -355,13 +355,8 @@ def _suite_finiten(cfg: RunConfig) -> list[dict]:
     # finite-size pressure converging to the limit value
     beta_s, B_s = 0.4, 0.1
     psi_inf = thermo.pressure(thermo.ModelParams(d, beta_s, B_s))
-    gaps = [
-        abs(
-            finiten.finite_pressure(finiten.build_table(d, n, beta_s, cache_dir=cfg.cache_dir), B_s)
-            - psi_inf
-        )
-        for n in ns
-    ]
+    tables = {n: finiten.build_table(d, n, beta_s, cache_dir=cfg.cache_dir) for n in ns}
+    gaps = [abs(finiten.finite_pressure(tables[n], B_s) - psi_inf) for n in ns]
     checks.append(
         {
             "check": "pressure_gap_shrinks",
@@ -376,7 +371,7 @@ def _suite_finiten(cfg: RunConfig) -> list[dict]:
 
     # exact moments against central differences of the pressure in B
     nd = 500 if 500 in ns else max(ns)
-    td = finiten.build_table(d, nd, beta_s, cache_dir=cfg.cache_dir)
+    td = tables[nd]  # already built for the pressure gaps
     h = 1e-5
     dp = finiten.finite_pressure_increment(td, B_s, h)
     dm = finiten.finite_pressure_increment(td, B_s, -h)

@@ -357,7 +357,10 @@ def _ks_distance(law, limit: ScalingLimit) -> float:
 
     The model CDF is a step function on evenly spaced atoms; the limit CDF is
     accumulated with one adaptive anchor integral below the support and a
-    16-node panel per gap, then compared at both sides of every jump.
+    16-node panel per gap, then compared at both sides of every jump. The
+    panel forms y^4 by squaring its nodes twice in place; ys**4 would go
+    through libm pow at about ten times the cost, and the two agree to within
+    two ulps.
     """
     n = law.n
     atoms = (2.0 * np.arange(n + 1, dtype=np.float64) - n) / n**0.75
@@ -371,7 +374,9 @@ def _ks_distance(law, limit: ScalingLimit) -> float:
     half = 1.0 / n**0.75  # half-width of each gap
     mids = 0.5 * (atoms[:-1] + atoms[1:])
     ys = mids[:, None] + half * x16[None, :]
-    gaps = half * (np.exp(-a * ys**4) @ w16) / limit.normalizer
+    ys *= ys
+    ys *= ys
+    gaps = half * (np.exp(-a * ys) @ w16) / limit.normalizer
     cdf = anchor + np.concatenate(([0.0], np.cumsum(gaps)))
     cum_prev = np.concatenate(([0.0], cum[:-1]))
     return float(max(np.max(np.abs(cdf - cum)), np.max(np.abs(cdf - cum_prev))))

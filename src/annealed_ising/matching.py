@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -193,25 +194,27 @@ def cache_path(cache_dir, d: int, n: int, beta: float) -> Path | None:
 def _read_cache(path: Path, d: int, n: int, beta: float) -> np.ndarray | None:
     """Parse a cache file; any mismatch or corruption means 'recompute'.
 
-    The header must name exactly (d, n, beta), and every value must be a
-    finite log-weight, so <= 0.
+    The header must name exactly (d, n, beta). The body is parsed in one
+    pass and must be exactly n + 1 rows "j value" with j = 0..n in order;
+    every value must be a finite log-weight, so <= 0.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline().split()
             if header != [*_FORMAT.split(), f"d={d}", f"n={n}", f"beta={beta:.17g}"]:
                 return None
-            values = np.empty(n + 1)
-            for j in range(n + 1):
-                idx, val = fh.readline().split()
-                if int(idx) != j:
-                    return None
-                values[j] = float(val)
-        if not (np.all(np.isfinite(values)) and np.all(values <= 0.0)):
-            return None
-        return values
-    except (OSError, ValueError, IndexError):
+            with warnings.catch_warnings():
+                # an empty body warns before the shape check below rejects it
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+    except (OSError, ValueError):
         return None
+    if rows.shape != (n + 1, 2) or not np.array_equal(rows[:, 0], np.arange(n + 1)):
+        return None
+    values = rows[:, 1].copy()
+    if not (np.all(np.isfinite(values)) and np.all(values <= 0.0)):
+        return None
+    return values
 
 
 def _write_cache(path: Path, d: int, n: int, beta: float, values: np.ndarray) -> None:
@@ -220,7 +223,7 @@ def _write_cache(path: Path, d: int, n: int, beta: float, values: np.ndarray) ->
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(f"{_FORMAT} d={d} n={n} beta={beta:.17g}\n")
-            for j, v in enumerate(values):
+            for j, v in enumerate(values.tolist()):  # Python floats format faster
                 fh.write(f"{j} {v:.17g}\n")
         os.replace(tmp, path)  # atomic on POSIX
     except BaseException:

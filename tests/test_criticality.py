@@ -15,8 +15,10 @@ from annealed_ising import (
     scaling_limit,
     scaling_limit_check,
     specific_heat_jump,
+    spin_law,
     taylor_check,
 )
+from annealed_ising.criticality import _ks_distance
 from annealed_ising.quadrature import adaptive_quad
 
 BC3 = critical_beta(3)
@@ -221,3 +223,60 @@ def test_scaling_check_rejects_degenerate_grid(cache_dir):
         scaling_limit_check(3, n_list=(500,), cache_dir=cache_dir)
     with pytest.raises(ValueError):
         scaling_limit_check(3, n_list=(500, 500), cache_dir=cache_dir)
+
+
+def _reg_lower_gamma(s, z):
+    """P(s, z) = gamma(s, z) / Gamma(s) for s > 0, z >= 0.
+
+    For z < s + 1 the positive-term series z^s e^-z / Gamma(s) * sum_k z^k /
+    (s (s+1) ... (s+k)); beyond, 1 - Q with Q from its continued fraction
+    (modified Lentz), which converges fast there.
+    """
+    if z == 0.0:
+        return 0.0
+    lead = math.exp(s * math.log(z) - z - math.lgamma(s))
+    if z < s + 1.0:
+        term = total = 1.0 / s
+        k = 0
+        while term > 1e-17 * total:
+            k += 1
+            term *= z / (s + k)
+            total += term
+        return lead * total
+    tiny = 1e-300
+    b = z + 1.0 - s
+    c, dd = 1.0 / tiny, 1.0 / b
+    h = dd
+    for i in range(1, 500):
+        an = -i * (i - s)
+        b += 2.0
+        dd = an * dd + b
+        dd = 1.0 / (dd if abs(dd) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        h *= dd * c
+        if abs(dd * c - 1.0) < 1e-16:
+            return 1.0 - lead * h
+    raise AssertionError(f"continued fraction for Q({s}, {z}) did not converge")
+
+
+def test_incomplete_gamma_oracle_reproduces_erf():
+    # P(1/2, z) = erf(sqrt z): checks both branches of the oracle below
+    for z in (1e-8, 0.01, 0.3, 1.0, 1.49, 1.51, 2.0, 5.0, 12.0, 40.0):
+        assert abs(_reg_lower_gamma(0.5, z) - math.erf(math.sqrt(z))) <= 4e-16
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("n", [250, 1000, 4000])
+def test_ks_distance_against_the_closed_form_cdf(get_table, d, n):
+    # the quartic-law CDF in closed form: F(x) = 1/2 +- P(1/4, a x^4) / 2
+    lim = scaling_limit(d)
+    a = lim.quartic_coeff
+    law = spin_law(get_table(d, n, critical_beta(d)), 0.0)
+    cum = np.cumsum(law.masses)
+    cum_prev = np.concatenate(([0.0], cum[:-1]))
+    xs = (2.0 * np.arange(n + 1) - n) / n**0.75
+    half_p = [0.5 * _reg_lower_gamma(0.25, a * x**4) for x in xs.tolist()]
+    cdf = np.array([0.5 + p if x >= 0.0 else 0.5 - p for x, p in zip(xs.tolist(), half_p)])
+    oracle = max(np.max(np.abs(cdf - cum)), np.max(np.abs(cdf - cum_prev)))
+    assert abs(_ks_distance(law, lim) - oracle) <= 1e-12

@@ -259,3 +259,58 @@ def test_cache_env_var_and_override(tmp_path, monkeypatch):
     assert str(cache_path(tmp_path / "arg", 3, 10, 0.3)).startswith(str(tmp_path / "arg"))
     log_g_table(3, 10, 0.3)  # no cache_dir argument: lands in the env directory
     assert cache_path(None, 3, 10, 0.3).exists()
+
+
+def _write_per_line(path, d, n, beta, values):
+    """The cache writer as it was first written: one write per numpy scalar."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"gtable v1 d={d} n={n} beta={beta:.17g}\n")
+        for j, v in enumerate(values):
+            fh.write(f"{j} {v:.17g}\n")
+
+
+@pytest.mark.parametrize("beta", [0.2, 0.0])  # rows widen at 0.2; beta = 0 writes exact zeros
+def test_cache_bytes_match_the_per_line_writer(tmp_path, beta):
+    d, n = 3, 8000
+    t = log_g_table(d, n, beta, cache_dir=tmp_path)
+    ref = tmp_path / "reference.txt"
+    _write_per_line(ref, d, n, beta, t.values)
+    assert cache_path(tmp_path, d, n, beta).read_bytes() == ref.read_bytes()
+
+
+def _drop_row(rows):
+    del rows[7]
+
+
+def _extra_row(rows):
+    rows.append(f"{len(rows)} -1.5")
+
+
+def _swap_indices(rows):
+    rows[3], rows[4] = rows[4], rows[3]
+
+
+def _three_fields(rows):
+    rows[6] += " -0.25"
+
+
+def _no_rows(rows):
+    rows.clear()
+
+
+@pytest.mark.filterwarnings("error")  # rejecting a file is silent
+@pytest.mark.parametrize(
+    "corrupt", [_drop_row, _extra_row, _swap_indices, _three_fields, _no_rows]
+)
+def test_cache_rejects_a_body_that_is_not_rows_0_to_n(tmp_path, corrupt):
+    d, n, beta = 3, 20, 0.3
+    fresh = log_g_table(d, n, beta).values
+    log_g_table(d, n, beta, cache_dir=tmp_path)
+    path = cache_path(tmp_path, d, n, beta)
+    good = path.read_text()
+    header, *rows = good.splitlines()
+    corrupt(rows)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    assert path.read_text() != good
+    assert np.array_equal(log_g_table(d, n, beta, cache_dir=tmp_path).values, fresh)
+    assert path.read_text() == good  # rewritten from the fresh table
