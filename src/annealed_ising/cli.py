@@ -50,10 +50,10 @@ class RunConfig:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"d={self.d}: need d >= 1")
-        if any(b < 0 for b in self.betas):
-            raise ValueError("beta values must be >= 0")
-        if any(B < 0 for B in self.Bs):
-            raise ValueError("B values must be >= 0")
+        if not all(math.isfinite(b) and b >= 0 for b in self.betas):
+            raise ValueError("beta values must be finite and >= 0")
+        if not all(math.isfinite(B) and B >= 0 for B in self.Bs):
+            raise ValueError("B values must be finite and >= 0")
         for n in self.ns:
             if n < 1:
                 raise ValueError(f"n={n}: need n >= 1")
@@ -71,6 +71,8 @@ def _parse_range(text: str, name: str) -> tuple[float, ...]:
         raise ValueError(f"{name}={text!r}: {exc}") from None
     if steps < 1:
         raise ValueError(f"{name}={text!r}: steps must be >= 1")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"{name}={text!r}: endpoints must be finite")
     return tuple(float(v) for v in np.linspace(a, b, steps))
 
 

@@ -119,6 +119,8 @@ def build_table(
 
 
 def _tilted(table: LogWeightTable, B: float) -> np.ndarray:
+    if not math.isfinite(B):
+        raise ValueError(f"B={B}: need a finite field")
     if B == 0.0:
         return table.log_x
     j = np.arange(table.n + 1, dtype=np.float64)

@@ -169,8 +169,8 @@ def log_g_table(
         raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
     if (d * n) % 2:
         raise ValueError(f"d*n = {d * n} odd: a perfect matching needs an even half-edge count")
-    if beta < 0:
-        raise ValueError(f"beta={beta} negative")
+    if not math.isfinite(beta) or beta < 0:
+        raise ValueError(f"beta={beta}: need a finite beta >= 0")
     beta = float(beta)
     path = cache_path(cache_dir, d, n, beta)
     if path is not None and path.exists():

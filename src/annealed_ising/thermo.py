@@ -90,10 +90,10 @@ class ModelParams:
     def __post_init__(self):
         if int(self.d) != self.d or self.d < 2:
             raise ValueError(f"d={self.d}: need an integer >= 2")
-        if self.beta < 0:
-            raise ValueError(f"beta={self.beta} negative")
-        if self.B < 0:
-            raise ValueError(f"B={self.B} negative; flip spins instead")
+        if not math.isfinite(self.beta) or self.beta < 0:
+            raise ValueError(f"beta={self.beta}: need a finite beta >= 0")
+        if not math.isfinite(self.B) or self.B < 0:
+            raise ValueError(f"B={self.B}: need a finite B >= 0; flip spins for B < 0")
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,25 @@ def test_flag_conflicts_are_usage_errors():
     assert main(["thermo", "--d", "3", "--beta", "0.3", "--threads", "2"]) == 2  # no such flag
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thermo", "--d", "3", "--n", "100", "--beta", "nan"],
+        ["gtable", "--d", "3", "--n", "4", "--beta", "nan"],
+        ["thermo", "--d", "3", "--n", "100", "--beta", "inf"],
+        ["thermo", "--d", "3", "--n", "100", "--beta", "0.3", "--B", "nan"],
+        ["thermo", "--d", "3", "--beta", "nan"],
+        ["thermo", "--d", "3", "--beta-range", "0:inf:3"],
+        ["verify", "--suite", "taylor", "--d", "3", "--beta", "nan"],
+    ],
+)
+def test_non_finite_beta_or_field_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -146,6 +146,13 @@ def test_table_input_validation():
         log_g_table(3, 10, -0.1)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_table_rejects_a_non_finite_beta(beta):
+    # nan < 0 is False, so a sign check alone lets nan through to the fill
+    with pytest.raises(ValueError):
+        log_g_table(3, 4, beta)
+
+
 def test_table_matches_the_exact_law_rowwise():
     # values[j] must equal log E[exp(-2 beta X(dj, dn))] from the closed law
     d, n, beta = 3, 4, 0.45

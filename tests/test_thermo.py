@@ -81,6 +81,11 @@ def test_params_validation():
         ModelParams(3, -0.1)
     with pytest.raises(ValueError):
         ModelParams(3, 0.5, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ModelParams(3, bad)
+        with pytest.raises(ValueError):
+            ModelParams(3, 0.5, bad)
 
 
 def test_critical_beta_values():
