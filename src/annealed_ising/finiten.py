@@ -179,8 +179,8 @@ def mgf_scaled(table: LogWeightTable, r: float) -> float:
 
     |r| <= 10 keeps the tilt well inside the table's dynamic range.
     """
-    if abs(r) > 10.0:
-        raise ValueError(f"r={r}: scaled tilt limited to |r| <= 10")
+    if not abs(r) <= 10.0:  # written so that nan is rejected too
+        raise ValueError(f"r={r}: need a finite scaled tilt with |r| <= 10")
     if r == 0.0:
         return 1.0
     s = 2.0 * np.arange(table.n + 1, dtype=np.float64) - table.n
@@ -209,6 +209,7 @@ def truncation_check(
             f"truncation bounds hold at beta_c={critical_beta(table.d)!r} only, "
             f"table has beta={table.beta!r}"
         )
+    full = mgf_scaled(table, r)  # rejects a tilt that is not finite with |r| <= 10
     n = table.n
     w = n**window_exponent
     j = np.arange(n + 1, dtype=np.float64)
@@ -218,7 +219,6 @@ def truncation_check(
 
     s = 2.0 * j - n
     shift = r * s / n**0.75
-    full = math.exp(_lse(table.log_x + shift) - _lse(table.log_x))
     windowed = math.exp(_lse(table.log_x[inside] + shift[inside]) - _lse(table.log_x[inside]))
     gap = abs(full - windowed)
 

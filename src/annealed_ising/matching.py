@@ -4,7 +4,8 @@ For m points with a marked k-subset, X(k, m) counts matched pairs joining the
 subset to its complement. The scalar weight g_beta(k, m) = E[exp(-2*beta*X)]
 is what averaging over the pairing model attaches to a spin split, and the
 per-size table values[j] = log g_beta(dj, dn) feeds every finite-size
-quantity. Laws are exact; only `sample_cross_count` is stochastic.
+quantity; on disk it is one `.npy` file holding a record of d, n, beta and
+values. Laws are exact; only `sample_cross_count` is stochastic.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,7 +32,6 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 CACHE_ENV = "ANNEALED_ISING_CACHE"
-_FORMAT = "gtable v1"
 
 
 @dataclass(frozen=True)
@@ -188,30 +187,31 @@ def cache_path(cache_dir, d: int, n: int, beta: float) -> Path | None:
     root = cache_dir if cache_dir is not None else os.environ.get(CACHE_ENV)
     if root is None:
         return None
-    return Path(root).expanduser() / f"gtable_d{d}_n{n}_b{float(beta)!r}.txt"
+    return Path(root).expanduser() / f"gtable_d{d}_n{n}_b{float(beta)!r}.npy"
+
+
+def _record(n: int) -> np.dtype:
+    """The one dtype a cache file for an n-vertex table may hold."""
+    return np.dtype([("d", "<i8"), ("n", "<i8"), ("beta", "<f8"), ("values", "<f8", (n + 1,))])
 
 
 def _read_cache(path: Path, d: int, n: int, beta: float) -> np.ndarray | None:
-    """Parse a cache file; any mismatch or corruption means 'recompute'.
+    """Load a cache record; any mismatch or corruption means 'recompute'.
 
-    The header must name exactly (d, n, beta). The body is parsed in one
-    pass and must be exactly n + 1 rows "j value" with j = 0..n in order;
-    every value must be a finite log-weight, so <= 0.
+    The file must hold exactly one record of dtype `_record(n)` and nothing
+    after it, (d, n, beta) must equal the request bitwise, and every value
+    must be a finite log-weight, so <= 0.
     """
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().split()
-            if header != [*_FORMAT.split(), f"d={d}", f"n={n}", f"beta={beta:.17g}"]:
+        with open(path, "rb") as fh:
+            rec = np.lib.format.read_array(fh, allow_pickle=False)
+            if fh.read(1) or rec.shape != () or rec.dtype != _record(n):
                 return None
-            with warnings.catch_warnings():
-                # an empty body warns before the shape check below rejects it
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
     except (OSError, ValueError):
         return None
-    if rows.shape != (n + 1, 2) or not np.array_equal(rows[:, 0], np.arange(n + 1)):
+    if rec["d"] != d or rec["n"] != n or rec["beta"].tobytes() != np.array(beta, "<f8").tobytes():
         return None
-    values = rows[:, 1].copy()
+    values = rec["values"]
     if not (np.all(np.isfinite(values)) and np.all(values <= 0.0)):
         return None
     return values
@@ -221,10 +221,9 @@ def _write_cache(path: Path, d: int, n: int, beta: float, values: np.ndarray) ->
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(f"{_FORMAT} d={d} n={n} beta={beta:.17g}\n")
-            for j, v in enumerate(values.tolist()):  # Python floats format faster
-                fh.write(f"{j} {v:.17g}\n")
+        with os.fdopen(fd, "wb") as fh:
+            rec = np.array((d, n, beta, values), dtype=_record(n))
+            np.lib.format.write_array(fh, rec, allow_pickle=False)
         os.replace(tmp, path)  # atomic on POSIX
     except BaseException:
         if os.path.exists(tmp):

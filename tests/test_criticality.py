@@ -71,6 +71,13 @@ def test_scaling_limit_mgf_values():
     assert lim.mgf(r) == pytest.approx(expect, rel=1e-9)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_scaling_limit_mgf_rejects_a_non_finite_r(r):
+    # nan fails every comparison, so it must be caught before the series runs
+    with pytest.raises(ValueError):
+        scaling_limit(3).mgf(r)
+
+
 def _gl_mgf(a, r, panels=200, npts=32):
     """E[exp(rX)] under exp(-a x^4) by composite Gauss-Legendre on [-L, L].
 
@@ -266,8 +273,9 @@ def test_incomplete_gamma_oracle_reproduces_erf():
         assert abs(_reg_lower_gamma(0.5, z) - math.erf(math.sqrt(z))) <= 4e-16
 
 
-@pytest.mark.parametrize("d", [3, 4, 5])
-@pytest.mark.parametrize("n", [250, 1000, 4000])
+@pytest.mark.parametrize(
+    "n,d", [(n, d) for n in (250, 1000, 4000) for d in (3, 4, 5)] + [(1001, 4)]  # odd n too
+)
 def test_ks_distance_against_the_closed_form_cdf(get_table, d, n):
     # the quartic-law CDF in closed form: F(x) = 1/2 +- P(1/4, a x^4) / 2
     lim = scaling_limit(d)

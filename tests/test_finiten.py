@@ -156,8 +156,11 @@ def test_mgf_scaled_basics(get_table):
         assert a == pytest.approx(b, rel=1e-13)  # the law is symmetric
         assert a > 1.0
     assert mgf_scaled(t, 0.5) < mgf_scaled(t, 1.0) < mgf_scaled(t, 2.0)
-    with pytest.raises(ValueError):
-        mgf_scaled(t, 11.0)
+    for r in (11.0, math.nan, math.inf, -math.inf):  # abs(nan) > 10 is False
+        with pytest.raises(ValueError):
+            mgf_scaled(t, r)
+        with pytest.raises(ValueError):  # its mgf_full is this transform
+            truncation_check(t, r=r)
 
 
 def test_truncation_report_shape_and_honesty(get_table):

@@ -1,5 +1,6 @@
 """Cross-edge laws, the Monte Carlo sampler, and the g-table cache."""
 
+import io
 import math
 from pathlib import Path
 
@@ -189,6 +190,20 @@ def test_residuals_against_integral_stay_lipschitz():
 # ---------------------------------------------------------------------------
 # cache
 
+_HEAD = [("d", "<i8"), ("n", "<i8"), ("beta", "<f8")]
+_D, _N, _BETA = 3, 20, 0.3  # the table the corruption cases start from
+
+
+def _npy(array) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, array, allow_pickle=False)
+    return buf.getvalue()
+
+
+def _record_file(d, n, beta, values) -> bytes:
+    """A cache file built from the stated format: one record of d, n, beta, values."""
+    return _npy(np.array((d, n, beta, values), dtype=[*_HEAD, ("values", "<f8", values.shape)]))
+
 
 def test_cache_roundtrip_and_hit(tmp_path):
     d, n, beta = 3, 30, 0.41
@@ -196,12 +211,27 @@ def test_cache_roundtrip_and_hit(tmp_path):
     t1 = log_g_table(d, n, beta, cache_dir=tmp_path)
     path = cache_path(tmp_path, d, n, beta)
     assert path.exists()
+    assert path.name == "gtable_d3_n30_b0.41.npy"
     stamp = path.stat().st_mtime_ns
     t2 = log_g_table(d, n, beta, cache_dir=tmp_path)
     assert path.stat().st_mtime_ns == stamp  # reused, not rewritten
     assert np.array_equal(t1.values, fresh.values)
-    # 17 significant digits round-trip doubles exactly
+    # the record stores the doubles themselves, so the hit is exact
     assert np.array_equal(t2.values, fresh.values)
+
+
+@pytest.mark.parametrize("beta", [0.2, 0.0])  # rows widen at 0.2; beta = 0 writes exact zeros
+def test_cache_roundtrips_bitwise(tmp_path, beta):
+    d, n = 3, 8000
+    fresh = log_g_table(d, n, beta).values
+    log_g_table(d, n, beta, cache_dir=tmp_path)
+    path = cache_path(tmp_path, d, n, beta)
+    assert path.read_bytes() == _record_file(d, n, beta, fresh)
+    stamp = path.stat().st_mtime_ns
+    hit = log_g_table(d, n, beta, cache_dir=tmp_path).values
+    assert path.stat().st_mtime_ns == stamp  # served from the file
+    assert np.array_equal(hit, fresh)
+    assert np.array_equal(np.signbit(hit), np.signbit(fresh))
 
 
 def test_cache_rejects_corruption(tmp_path):
@@ -234,10 +264,30 @@ def test_cache_rejects_a_header_for_another_beta(tmp_path):
     d, n = 3, 20
     log_g_table(d, n, 0.3, cache_dir=tmp_path)
     path = cache_path(tmp_path, d, n, 0.4)
-    path.write_text(cache_path(tmp_path, d, n, 0.3).read_text())  # a 0.3 table filed as 0.4
+    path.write_bytes(cache_path(tmp_path, d, n, 0.3).read_bytes())  # a 0.3 table filed as 0.4
     fresh = log_g_table(d, n, 0.4).values
     assert np.array_equal(log_g_table(d, n, 0.4, cache_dir=tmp_path).values, fresh)
-    assert path.read_text().split("\n")[0].endswith("beta=0.40000000000000002")  # rewritten
+    assert np.load(path)["beta"] == 0.4  # rewritten
+
+
+@pytest.mark.parametrize(
+    "beta,claim",
+    [
+        (_BETA, (4, _N, _BETA)),
+        (_BETA, (_D, _N + 2, _BETA)),
+        (_BETA, (_D, _N, math.nextafter(_BETA, 1.0))),
+        (0.0, (_D, _N, -0.0)),  # -0.0 == 0.0: beta is compared bitwise
+    ],
+    ids=["d", "n", "beta_ulp", "beta_negative_zero"],
+)
+def test_cache_rejects_a_record_naming_another_table(tmp_path, beta, claim):
+    # the values have the requested length, so only the named (d, n, beta) is wrong
+    fresh = log_g_table(_D, _N, beta, cache_dir=tmp_path).values
+    path = cache_path(tmp_path, _D, _N, beta)
+    good = path.read_bytes()
+    path.write_bytes(_record_file(*claim, fresh))
+    assert np.array_equal(log_g_table(_D, _N, beta, cache_dir=tmp_path).values, fresh)
+    assert path.read_bytes() == good  # rewritten
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0.5"])
@@ -245,10 +295,12 @@ def test_cache_rejects_impossible_values(tmp_path, bad):
     d, n, beta = 3, 20, 0.3
     fresh = log_g_table(d, n, beta, cache_dir=tmp_path).values
     path = cache_path(tmp_path, d, n, beta)
-    lines = path.read_text().split("\n")
-    lines[5] = f"4 {bad}"
-    path.write_text("\n".join(lines))
+    good = path.read_bytes()
+    values = fresh.copy()
+    values[4] = float(bad)
+    path.write_bytes(_record_file(d, n, beta, values))
     assert np.array_equal(log_g_table(d, n, beta, cache_dir=tmp_path).values, fresh)
+    assert path.read_bytes() == good
 
 
 def test_cache_dir_expands_tilde():
@@ -268,56 +320,82 @@ def test_cache_env_var_and_override(tmp_path, monkeypatch):
     assert cache_path(None, 3, 10, 0.3).exists()
 
 
-def _write_per_line(path, d, n, beta, values):
-    """The cache writer as it was first written: one write per numpy scalar."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"gtable v1 d={d} n={n} beta={beta:.17g}\n")
-        for j, v in enumerate(values):
-            fh.write(f"{j} {v:.17g}\n")
+# Each corruption maps the good file's bytes and values to the bytes written
+# in its place.
 
 
-@pytest.mark.parametrize("beta", [0.2, 0.0])  # rows widen at 0.2; beta = 0 writes exact zeros
-def test_cache_bytes_match_the_per_line_writer(tmp_path, beta):
-    d, n = 3, 8000
-    t = log_g_table(d, n, beta, cache_dir=tmp_path)
-    ref = tmp_path / "reference.txt"
-    _write_per_line(ref, d, n, beta, t.values)
-    assert cache_path(tmp_path, d, n, beta).read_bytes() == ref.read_bytes()
+def _drop_row(good, values):
+    return _record_file(_D, _N, _BETA, values[:-1])  # n values filed under n
 
 
-def _drop_row(rows):
-    del rows[7]
+def _extra_row(good, values):
+    return _record_file(_D, _N, _BETA, np.append(values, -1.5))  # n + 2 values
 
 
-def _extra_row(rows):
-    rows.append(f"{len(rows)} -1.5")
+def _three_fields(good, values):
+    dtype = [*_HEAD, ("values", "<f8", values.shape), ("extra", "<f8")]
+    return _npy(np.array((_D, _N, _BETA, values, -0.25), dtype=dtype))
 
 
-def _swap_indices(rows):
-    rows[3], rows[4] = rows[4], rows[3]
+def _no_rows(good, values):
+    return good[: -(24 + 8 * values.size)]  # the header alone
 
 
-def _three_fields(rows):
-    rows[6] += " -0.25"
-
-
-def _no_rows(rows):
-    rows.clear()
+def _assert_rewritten(tmp_path, corrupt):
+    fresh = log_g_table(_D, _N, _BETA).values
+    log_g_table(_D, _N, _BETA, cache_dir=tmp_path)
+    path = cache_path(tmp_path, _D, _N, _BETA)
+    good = path.read_bytes()
+    path.write_bytes(corrupt(good, fresh))
+    assert path.read_bytes() != good
+    assert np.array_equal(log_g_table(_D, _N, _BETA, cache_dir=tmp_path).values, fresh)
+    assert path.read_bytes() == good  # rewritten from the fresh table
 
 
 @pytest.mark.filterwarnings("error")  # rejecting a file is silent
-@pytest.mark.parametrize(
-    "corrupt", [_drop_row, _extra_row, _swap_indices, _three_fields, _no_rows]
-)
+@pytest.mark.parametrize("corrupt", [_drop_row, _extra_row, _three_fields, _no_rows])
 def test_cache_rejects_a_body_that_is_not_rows_0_to_n(tmp_path, corrupt):
-    d, n, beta = 3, 20, 0.3
-    fresh = log_g_table(d, n, beta).values
-    log_g_table(d, n, beta, cache_dir=tmp_path)
-    path = cache_path(tmp_path, d, n, beta)
-    good = path.read_text()
-    header, *rows = good.splitlines()
-    corrupt(rows)
-    path.write_text("\n".join([header, *rows]) + "\n")
-    assert path.read_text() != good
-    assert np.array_equal(log_g_table(d, n, beta, cache_dir=tmp_path).values, fresh)
-    assert path.read_text() == good  # rewritten from the fresh table
+    # "rows" are the entries j = 0..n of the values field
+    _assert_rewritten(tmp_path, corrupt)
+
+
+def _empty(good, values):
+    return b""
+
+
+def _truncated(good, values):
+    return good[:-4]
+
+
+def _trailing_bytes(good, values):
+    # the file must be the record and nothing else, so a tail means rewrite
+    return good + b"\x00"
+
+
+def _plain_array(good, values):
+    return _npy(values)  # right values, no fields
+
+
+def _record_in_an_array(good, values):
+    dtype = [*_HEAD, ("values", "<f8", values.shape)]
+    return _npy(np.array([(_D, _N, _BETA, values)], dtype=dtype))  # shape (1,), not ()
+
+
+def _npz(good, values):
+    buf = io.BytesIO()
+    np.savez(buf, values=values)
+    return buf.getvalue()
+
+
+def _big_endian(good, values):
+    dtype = [("d", ">i8"), ("n", ">i8"), ("beta", ">f8"), ("values", ">f8", values.shape)]
+    return _npy(np.array((_D, _N, _BETA, values), dtype=dtype))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "corrupt",
+    [_empty, _truncated, _trailing_bytes, _plain_array, _record_in_an_array, _npz, _big_endian],
+)
+def test_cache_rejects_a_file_that_is_not_one_record(tmp_path, corrupt):
+    _assert_rewritten(tmp_path, corrupt)
