@@ -93,6 +93,12 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError("give --B or --B-range, not both")
     if args.n is not None and args.n_list:
         raise ValueError("give --n or --n-list, not both")
+    if args.out:
+        # checked before any work, so a bad path is a usage error, not a failed check
+        if os.path.isdir(args.out):
+            raise ValueError(f"--out {args.out!r} is a directory; name a file")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise ValueError(f"--out {args.out!r}: its directory does not exist")
     betas: tuple[float, ...] = ()
     if args.beta is not None:
         betas = (args.beta,)

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finiten import build_table, mgf_scaled, spin_law
-from .quadrature import fixed_quad, _nodes
+from .quadrature import _nodes
 from .thermo import (
     ModelParams,
-    _logf,
+    _F_from_half,
     critical_beta,
     magnetization,
     specific_heat,
@@ -128,19 +128,24 @@ def scaling_limit(d: int) -> ScalingLimit:
 # Taylor coefficients of H at 1/2
 
 
+# stencil step of taylor_check; 2h is the coarse step of each Richardson pair
+_STEP = 1e-3
+
+
 def _increments(d: int, c: float, h: float) -> tuple[dict[int, float], dict[int, float]]:
     """G(kh) = H(1/2 + kh) - H(1/2) and the F-part alone, k in {+-1, +-2, +-4}.
 
     Both pieces are evaluated as increments from 1/2 -- the entropy part via
-    log1p, the F part as a single short integral -- so the near-total
-    cancellation between them (G ~ 1e-13 at h = 1e-3) costs no precision.
+    log1p, the F part as F(1/2 - |kh|) - F(1/2) in closed form
+    (`thermo._F_from_half`) -- so the near-total cancellation between them
+    (G ~ 1e-13 at h = 1e-3) costs no precision.
     """
     gvals: dict[int, float] = {}
     fvals: dict[int, float] = {}
     for k in (-4, -2, -1, 1, 2, 4):
         u = k * h
         phi = -(0.5 - u) * math.log1p(-2.0 * u) - (0.5 + u) * math.log1p(2.0 * u)
-        finc = -fixed_quad(lambda s: _logf(s, c), 0.5 - abs(u), 0.5, 64)
+        finc = _F_from_half(0.5 - abs(u), c)
         fvals[k] = finc
         gvals[k] = phi + d * finc
     return gvals, fvals
@@ -177,18 +182,14 @@ def _stencil_derivatives(g: dict[int, float], h: float) -> tuple[float, float, f
     )
 
 
-def taylor_check(d: int, beta: float | None = None, h: float = 1e-3) -> dict:
+def taylor_check(d: int) -> dict:
     """Verify H', H'', H''' vanish at t = 1/2 and H'''' hits its closed form.
 
-    Only valid exactly at the critical temperature; any other beta is
-    rejected rather than silently producing nonzero low-order terms.
+    The expansion is taken at beta_c(d), the one temperature at which the
+    low-order terms vanish.
     """
-    bc = critical_beta(d)
-    if beta is None:
-        beta = bc
-    if beta != bc:
-        raise ValueError(f"beta={beta!r} is not the critical value {bc!r} for d={d}")
-    c = math.exp(-2.0 * beta)
+    h = _STEP
+    c = math.exp(-2.0 * critical_beta(d))
     gvals, fvals = _increments(d, c, h)
     h1, h2, h3, h4 = _stencil_derivatives(gvals, h)
     f2, f4 = _stencil_derivatives(fvals, h)[1::2]

@@ -20,9 +20,17 @@ The same pressure is the variational form
     psi(beta, B) = beta*d/2 - B + max_t [ H(t) + 2*B*t ],
 
 with H(t) = (t-1)log(1-t) - t log t + d*F(t) and F the integral of log f from
-0 to min(t, 1-t), maximised at t_hat = (1 + M)/2. f_beta, F_beta, H_beta,
-dH_beta and d2H_beta keep that form as the documented statement of the
-problem and as an independent oracle; the limit quantities never evaluate it.
+0 to tau = min(t, 1-t), maximised at t_hat = (1 + M)/2. log f has an
+elementary antiderivative: with c = exp(-2 beta), v = 1 - 2 tau and
+R = sqrt(c^2 + (1 - c^2) 4 tau (1 - tau)),
+
+    F(t) = tau log((c v + R)/2) + (1/2) log1p(2 c tau/(c v + R))
+           + (1/2) v log1p(-tau),
+
+every term O(tau), so F needs no quadrature. f_beta, F_beta, H_beta,
+dH_beta and d2H_beta keep the variational form as the documented statement
+of the problem and as an independent oracle; the limit quantities never
+evaluate it.
 """
 
 from __future__ import annotations
@@ -31,8 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .quadrature import adaptive_quad
 
 __all__ = [
     "ModelParams",
@@ -152,14 +158,35 @@ def f_beta(s: float, beta: float) -> float:
 
 
 def F_beta(t: float, beta: float) -> float:
-    """F(t) = integral of log f over [0, min(t, 1-t)]; F(t) = F(1-t)."""
+    """F(t) = integral of log f over [0, tau], tau = min(t, 1-t); F(t) = F(1-t).
+
+    The closed form of the module docstring; 1 - c^2 is -expm1(-4 beta), so
+    R keeps its precision as beta -> 0, and at tau = 1/2 F is
+    (1/2) log((1 + c)/2).
+    """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t={t} outside [0, 1]")
-    upper = min(t, 1.0 - t)
-    if upper == 0.0 or beta == 0.0:
+    tau = min(t, 1.0 - t)
+    if tau == 0.0 or beta == 0.0:
         return 0.0
     c = math.exp(-2.0 * beta)
-    return adaptive_quad(lambda s: _logf(s, c), 0.0, upper, tol=1e-13)
+    v = 1.0 - 2.0 * tau
+    w = c * v + math.sqrt(c * c - math.expm1(-4.0 * beta) * 4.0 * tau * (1.0 - tau))
+    return tau * math.log(0.5 * w) + 0.5 * math.log1p(2.0 * c * tau / w) + 0.5 * v * math.log1p(-tau)
+
+
+def _F_from_half(tau: float, c: float) -> float:
+    """F(tau) - F(1/2) = -(integral of log f over [tau, 1/2]) for tau in [0, 1/2].
+
+    The integral is (1/2)[v log f(tau) - log1p((R - 1)/(1 + c))] with
+    v = 1 - 2 tau and R = sqrt(1 + (c^2 - 1) v^2); R - 1 is formed as
+    (c^2 - 1) v^2/(1 + R), so nothing cancels as tau -> 1/2.
+    """
+    v = 1.0 - 2.0 * tau
+    a = c * c - 1.0
+    rm1 = a * v * v / (1.0 + math.sqrt(1.0 + a * v * v))
+    logf = math.log1p(c * v + rm1) - math.log1p(v)
+    return -0.5 * (v * logf - math.log1p(rm1 / (1.0 + c)))
 
 
 def H_beta(t: float, d: int, beta: float) -> float:

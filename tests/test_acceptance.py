@@ -39,7 +39,7 @@ from annealed_ising import (
     ModelParams,
 )
 from annealed_ising.cli import main
-from annealed_ising.quadrature import adaptive_quad
+from gauss_legendre import adaptive_quad
 
 BC3 = critical_beta(3)
 

@@ -278,3 +278,19 @@ def test_outputs_land_exactly_where_asked(tmp_path):
     out = nested / "t.csv"
     assert main(["thermo", "--d", "3", "--beta", "0.0", "--B", "0", "--out", str(out)]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        ["gtable", "--d", "3", "--n", "10", "--beta", "0.5"],
+        ["verify", "--suite", "scaling", "--d", "3", "--n-list", "250,500"],
+    ],
+)
+def test_out_into_a_missing_directory_or_onto_a_directory_is_a_usage_error(head, tmp_path, capsys):
+    for out in (tmp_path / "missing" / "x.out", tmp_path):
+        assert main(head + ["--cache-dir", str(tmp_path / "cache"), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --out ")
+    assert list(tmp_path.iterdir()) == []  # rejected before any work: no output, cache or sibling

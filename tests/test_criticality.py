@@ -19,7 +19,7 @@ from annealed_ising import (
     taylor_check,
 )
 from annealed_ising.criticality import _ks_distance
-from annealed_ising.quadrature import adaptive_quad
+from gauss_legendre import adaptive_quad
 
 BC3 = critical_beta(3)
 
@@ -124,11 +124,6 @@ def test_taylor_check_passes(d):
     assert abs(est["dH1"]) <= 1e-7 and abs(est["dH2"]) <= 1e-7 and abs(est["dH3"]) <= 1e-7
     assert est["dF2"] == pytest.approx(tgt["dF2"], abs=1e-7)
     assert est["dF4"] == pytest.approx(tgt["dF4"], rel=1e-4)
-
-
-def test_taylor_check_rejects_noncritical_beta():
-    with pytest.raises(ValueError):
-        taylor_check(3, beta=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from annealed_ising import (
     susceptibility,
     thermo_point,
 )
-from annealed_ising.quadrature import adaptive_quad
 from annealed_ising.thermo import T_GUARD
+from gauss_legendre import adaptive_quad, fixed_quad
 
 BC3 = critical_beta(3)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -123,12 +123,12 @@ def test_F_symmetry_sign_and_derivative():
     assert F_beta(0.0, beta) == 0.0
     assert F_beta(1.0, beta) == 0.0
     # F(t) == F(1 - t) bitwise wherever 1 - t is exact, which holds for every
-    # float t in [1/2, 1] (Sterbenz): both sides then integrate to one upper limit.
+    # float t in [1/2, 1] (Sterbenz): both sides then evaluate at one tau.
     for t in (0.625, 0.7, 0.9):
         assert F_beta(t, beta) == F_beta(1.0 - t, beta)
     # The literal 0.3 is not the mirror of the float 0.7 (1 - 0.7 is
-    # 0.30000000000000004 in binary64), so this pair integrates to upper limits
-    # one ulp apart and may differ by a few ulp of F (measured: 1 ulp, 2.8e-17).
+    # 0.30000000000000004 in binary64), so this pair evaluates at taus one ulp
+    # apart and may differ by a few ulp of F.
     assert F_beta(0.3, beta) == pytest.approx(F_beta(0.7, beta), rel=0.0, abs=1e-15)
     assert F_beta(0.3, 0.0) == 0.0
     # log f < 0 below 1/2, so F decreases toward t = 1/2
@@ -136,6 +136,57 @@ def test_F_symmetry_sign_and_derivative():
     h = 1e-6
     fd = (F_beta(0.3 + h, beta) - F_beta(0.3 - h, beta)) / (2.0 * h)
     assert fd == pytest.approx(math.log(f_beta(0.3, beta)), abs=1e-9)
+
+
+def _F_graded(t, beta):
+    """F by 32-node Gauss-Legendre panels graded toward s = 0.
+
+    The panels are [0, tau 2^-60] and [tau 2^-k-1, tau 2^-k] for k = 0..59,
+    and log f is written directly from s, not in the package's closed form.
+    The branch point of log f sits about c^2/4 below s = 0, so the panels
+    shrink toward it geometrically.
+    """
+    tau = min(t, 1.0 - t)
+    c = math.exp(-2.0 * beta)
+
+    def logf(s):
+        rad = np.sqrt(c * c + (1.0 - c * c) * 4.0 * s * (1.0 - s))
+        return np.log(c * (1.0 - 2.0 * s) + rad) - np.log(2.0 - 2.0 * s)
+
+    edges = [0.0] + [tau * 2.0**-k for k in range(60, -1, -1)]
+    return math.fsum(fixed_quad(logf, a, b, 32) for a, b in zip(edges[:-1], edges[1:]))
+
+
+@pytest.mark.parametrize("beta", [1e-6, 0.01, 0.3, BC3, 1.5, 3.0, 5.0, 8.0, 12.0, 50.0, 300.0])
+def test_F_closed_form_matches_graded_quadrature(beta):
+    for t in (1e-12, 1e-6, 1e-3, 0.1, 0.3, 0.49, 0.5, 0.999):
+        assert F_beta(t, beta) == pytest.approx(_F_graded(t, beta), rel=0.0, abs=1e-15), t
+    c = math.exp(-2.0 * beta)
+    assert F_beta(0.5, beta) == pytest.approx(0.5 * math.log((1.0 + c) / 2.0), rel=0.0, abs=1e-16)
+
+
+def test_F_and_H_are_finite_for_every_finite_beta():
+    tiny = 5e-324
+    for beta in (0.0, 1e-300, 1e-8, 372.0, 400.0, 1e300, 1.7976931348623157e308):
+        for t in (tiny, 1e-300, 1e-12, 0.25, 0.5, 0.75, 1.0 - 2.0**-53):
+            assert math.isfinite(F_beta(t, beta)), (beta, t)
+            assert math.isfinite(H_beta(t, 3, beta)), (beta, t)
+        assert F_beta(0.0, beta) == F_beta(1.0, beta) == 0.0
+
+
+@pytest.mark.parametrize(
+    "d, beta, B",
+    [(3, 4.0, 0.0), (3, 4.0, 0.3), (3, 4.5, 0.0), (3, 4.5, 0.3), (3, 5.0, 0.0), (3, 5.0, 0.3), (4, 4.0, 0.0)],
+)
+def test_variational_form_reaches_the_deep_ordered_phase(d, beta, B):
+    """Golden section over H + 2Bt still gives the fixed point's psi at beta >= 4.
+
+    There c = e^{-2 beta} is below 4e-4 and log f turns within about c^2 of
+    s = 0, too sharply for an adaptive quadrature of F to converge; the
+    closed form has no such limit.
+    """
+    psi = thermo_point(ModelParams(d, beta, B)).psi
+    assert psi == pytest.approx(_golden_section_pressure(d, beta, B), rel=0.0, abs=1e-10)
 
 
 def test_H_symmetry_and_endpoints():
@@ -451,7 +502,7 @@ def test_thermo_point_evaluates_no_variational_form(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the limit path evaluated the variational form")
 
-    for name in ("adaptive_quad", "F_beta", "H_beta", "dH_beta", "d2H_beta"):
+    for name in ("F_beta", "H_beta", "dH_beta", "d2H_beta"):
         monkeypatch.setattr(thermo, name, forbidden)
     for p in (ModelParams(3, 0.3, 0.0), ModelParams(3, BC3, 0.0), ModelParams(3, 0.8, 0.0),
               ModelParams(4, 0.4, 0.2), ModelParams(5, 2.9, 0.0)):
