@@ -4,120 +4,25 @@ Exact finite-size computations via pairing-count weight tables, the
 thermodynamic limit via a scalar variational problem, and the critical
 behavior at beta_c = atanh(1/(d-1)): exponents, amplitudes, the
 specific-heat jump, and the quartic n^{3/4} scaling limit.
+
+The package exports every module's public names; each module's __all__ is
+the one list of them.
 """
 
-from .criticality import (
-    ExponentFit,
-    ScalingLimit,
-    exponent_report,
-    fit_exponent_beta,
-    fit_exponent_delta,
-    fit_exponent_gamma,
-    scaling_limit,
-    scaling_limit_check,
-    specific_heat_jump,
-    taylor_check,
-)
-from .finiten import (
-    LogWeightTable,
-    SpinLaw,
-    TruncationReport,
-    build_table,
-    finite_magnetization,
-    finite_pressure,
-    finite_pressure_increment,
-    finite_susceptibility,
-    mgf_scaled,
-    spin_law,
-    truncation_check,
-    write_spinlaw_csv,
-)
-from .kernels import KERNEL_BACKEND, gtable_values
-from .matching import (
-    LogG,
-    brute_force_law,
-    cross_count_law,
-    log_g_table,
-    sample_cross_count,
-    sample_cross_counts,
-)
-from .thermo import (
-    CriticalPoint,
-    ModelParams,
-    NoNontrivialRootError,
-    RootBracketError,
-    ThermoPoint,
-    UndefinedAtCriticalityError,
-    critical_beta,
-    d2H_beta,
-    dH_beta,
-    f_beta,
-    F_beta,
-    find_t_plus,
-    find_t_star,
-    H_beta,
-    magnetization,
-    pressure,
-    specific_heat,
-    susceptibility,
-    thermo_point,
-)
+from . import criticality, finiten, kernels, matching, thermo
+from .criticality import *  # noqa: F403
+from .finiten import *  # noqa: F403
+from .kernels import *  # noqa: F403
+from .matching import *  # noqa: F403
+from .thermo import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "KERNEL_BACKEND",
-    # pairing counts and weight tables
-    "LogG",
-    "brute_force_law",
-    "cross_count_law",
-    "sample_cross_count",
-    "sample_cross_counts",
-    "log_g_table",
-    "gtable_values",
-    # thermodynamic limit
-    "ModelParams",
-    "CriticalPoint",
-    "ThermoPoint",
-    "RootBracketError",
-    "NoNontrivialRootError",
-    "UndefinedAtCriticalityError",
-    "f_beta",
-    "F_beta",
-    "H_beta",
-    "dH_beta",
-    "d2H_beta",
-    "critical_beta",
-    "find_t_star",
-    "find_t_plus",
-    "pressure",
-    "magnetization",
-    "susceptibility",
-    "specific_heat",
-    "thermo_point",
-    # finite sizes
-    "LogWeightTable",
-    "SpinLaw",
-    "TruncationReport",
-    "build_table",
-    "finite_pressure",
-    "finite_pressure_increment",
-    "spin_law",
-    "finite_magnetization",
-    "finite_susceptibility",
-    "mgf_scaled",
-    "truncation_check",
-    "write_spinlaw_csv",
-    # critical behavior
-    "ExponentFit",
-    "ScalingLimit",
-    "scaling_limit",
-    "taylor_check",
-    "fit_exponent_beta",
-    "fit_exponent_delta",
-    "fit_exponent_gamma",
-    "exponent_report",
-    "specific_heat_jump",
-    "scaling_limit_check",
+    *kernels.__all__,
+    *matching.__all__,
+    *thermo.__all__,
+    *finiten.__all__,
+    *criticality.__all__,
 ]

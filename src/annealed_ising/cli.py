@@ -1,4 +1,4 @@
-"""Command-line front end: weight tables, thermodynamic scans, verification suites.
+"""Command-line front end: argument parsing, dispatch, and output.
 
 Three subcommands:
 
@@ -7,7 +7,9 @@ Three subcommands:
   a beta x B grid, in the thermodynamic limit by default or at finite sizes
   when ``--n``/``--n-list`` is given.
 * ``verify``  -- run one named verification suite and emit a JSON report;
-  exit code 0 iff every check in the report passed.
+  exit code 0 iff every check in the report passed. The checks live next to
+  their math in ``criticality``, ``finiten`` and ``matching``; this module
+  only maps a suite name to them and writes what they return.
 
 Output is deterministic for a fixed configuration and seed: floats are
 serialized with repr (shortest round-trip form), rows are emitted in grid
@@ -28,8 +30,6 @@ import numpy as np
 from . import criticality, finiten, matching, thermo
 
 __all__ = ["RunConfig", "main", "cmd_gtable", "cmd_thermo", "cmd_verify"]
-
-SUITES = ("taylor", "exponents", "jump", "scaling", "finiten", "matching")
 
 
 @dataclass(frozen=True)
@@ -183,12 +183,6 @@ def _py(obj):
     return obj
 
 
-def _cell(v) -> str:
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return str(int(v))
-    return repr(float(v))
-
-
 def _write(out: str | None, text: str) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -199,11 +193,11 @@ def _write(out: str | None, text: str) -> None:
 
 def _emit_rows(cfg: RunConfig, header: tuple[str, ...], rows: list[tuple]) -> None:
     if cfg.fmt == "json":
-        payload = {"columns": list(header), "rows": [[_py(_as_py(v)) for v in row] for row in rows]}
+        payload = {"columns": list(header), "rows": [[_as_py(v) for v in row] for row in rows]}
         _write(cfg.out, json.dumps(payload, indent=2) + "\n")
     else:
         lines = [",".join(header)]
-        lines += [",".join(_cell(v) for v in row) for row in rows]
+        lines += [",".join(repr(_as_py(v)) for v in row) for row in rows]
         _write(cfg.out, "\n".join(lines) + "\n")
 
 
@@ -282,11 +276,11 @@ def cmd_thermo(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig, suite: str) -> int:
-    try:
-        builder = _SUITES[suite]
-    except KeyError:
-        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}") from None
-    checks = builder(cfg)
+    if suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    checks = _SUITES[suite](cfg)
+    if cfg.out:
+        _write_siblings(cfg, checks)
     report = {
         "suite": suite,
         "d": cfg.d,
@@ -298,232 +292,41 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
     return 0 if report["pass"] else 1
 
 
-# ---------------------------------------------------------------------------
-# verification suites
+def _write_siblings(cfg: RunConfig, checks: list[dict]) -> None:
+    """scan.csv from scaling_limit, spinlaw.csv from critical_window's largest n."""
+    for c in checks:
+        if c["check"] == "scaling_limit":
+            est = c["estimates"]
+            rows = zip(c["grid"], est["moment2"], est["moment4"], est["ks_distance"])
+            lines = ["n,moment2,moment4,ks_distance"]
+            lines += [f"{n},{m2!r},{m4!r},{ks!r}" for n, m2, m4, ks in rows]
+            _write(_sibling(cfg.out, "scan.csv"), "\n".join(lines) + "\n")
+        elif c["check"] == "critical_window":
+            bc = thermo.critical_beta(c["d"])
+            table = finiten.build_table(c["d"], max(c["grid"]), bc, cache_dir=cfg.cache_dir)
+            finiten.write_spinlaw_csv(finiten.spin_law(table), _sibling(cfg.out, "spinlaw.csv"))
 
 
-def _suite_taylor(cfg: RunConfig) -> list[dict]:
-    return [criticality.taylor_check(cfg.d)]
+def _sizes(cfg: RunConfig) -> tuple:
+    """--n/--n-list as a positional argument, or none so the check's default sizes apply."""
+    return (cfg.ns,) if cfg.ns else ()
 
 
-def _suite_exponents(cfg: RunConfig) -> list[dict]:
-    d = cfg.d
-    return [
-        criticality.exponent_report("exponent_beta", d, criticality.fit_exponent_beta(d)),
-        criticality.exponent_report("exponent_delta", d, criticality.fit_exponent_delta(d)),
-        criticality.exponent_report("exponent_gamma_below", d, criticality.fit_exponent_gamma(d, "below")),
-        criticality.exponent_report("exponent_gamma_above", d, criticality.fit_exponent_gamma(d, "above")),
-    ]
-
-
-def _suite_jump(cfg: RunConfig) -> list[dict]:
-    return [criticality.specific_heat_jump(cfg.d)]
-
-
-def _suite_scaling(cfg: RunConfig) -> list[dict]:
-    n_list = cfg.ns or (500, 1000, 2000, 4000)
-    check = criticality.scaling_limit_check(cfg.d, n_list, cache_dir=cfg.cache_dir)
-    if cfg.out:
-        lines = ["n,moment2,moment4,ks_distance"]
-        est = check["estimates"]
-        for i, n in enumerate(check["grid"]):
-            lines.append(
-                f"{n},{est['moment2'][i]!r},{est['moment4'][i]!r},{est['ks_distance'][i]!r}"
-            )
-        _write(_sibling(cfg.out, "scan.csv"), "\n".join(lines) + "\n")
-    return [check]
-
-
-def _suite_finiten(cfg: RunConfig) -> list[dict]:
-    d = cfg.d
-    ns = cfg.ns or (250, 500, 1000)
-    checks = []
-
-    # closed forms of the free-spin model (beta = 0): psi = log 2 cosh B,
-    # M = tanh B, chi(B=0) = 1, all exact up to table rounding
-    n0 = ns[0]
-    t0 = finiten.build_table(d, n0, 0.0, cache_dir=cfg.cache_dir)
-    B0 = 0.7
-    psi_gap = abs(finiten.finite_pressure(t0, B0) - math.log(2.0 * math.cosh(B0)))
-    m_gap = abs(finiten.finite_magnetization(t0, B0) - math.tanh(B0))
-    chi_gap = abs(finiten.finite_susceptibility(t0, 0.0) - 1.0)
-    tol0 = 1e-12
-    checks.append(
-        {
-            "check": "free_spin_closed_forms",
-            "d": d,
-            "grid": [n0],
-            "estimates": {"psi_gap": psi_gap, "M_gap": m_gap, "chi_gap": chi_gap},
-            "targets": {"psi_gap": 0.0, "M_gap": 0.0, "chi_gap": 0.0},
-            "tolerances": {"abs": tol0},
-            "pass": bool(psi_gap <= tol0 and m_gap <= tol0 and chi_gap <= tol0),
-        }
-    )
-
-    # finite-size pressure converging to the limit value
-    beta_s, B_s = 0.4, 0.1
-    psi_inf = thermo.pressure(thermo.ModelParams(d, beta_s, B_s))
-    tables = {n: finiten.build_table(d, n, beta_s, cache_dir=cfg.cache_dir) for n in ns}
-    gaps = [abs(finiten.finite_pressure(tables[n], B_s) - psi_inf) for n in ns]
-    checks.append(
-        {
-            "check": "pressure_gap_shrinks",
-            "d": d,
-            "grid": list(ns),
-            "estimates": {"psi_gap": gaps},
-            "targets": {"psi_limit": psi_inf},
-            "tolerances": {"monotone": True},
-            "pass": bool(all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))),
-        }
-    )
-
-    # exact moments against central differences of the pressure in B
-    nd = 500 if 500 in ns else max(ns)
-    td = tables[nd]  # already built for the pressure gaps
-    h = 1e-5
-    dp = finiten.finite_pressure_increment(td, B_s, h)
-    dm = finiten.finite_pressure_increment(td, B_s, -h)
-    m_fd_gap = abs((dp - dm) / (2.0 * h) - finiten.finite_magnetization(td, B_s))
-    chi_fd_gap = abs((dp + dm) / (h * h) - finiten.finite_susceptibility(td, B_s))
-    told = 1e-6
-    checks.append(
-        {
-            "check": "derivative_consistency",
-            "d": d,
-            "grid": [nd],
-            "estimates": {"M_fd_gap": m_fd_gap, "chi_fd_gap": chi_fd_gap},
-            "targets": {"M_fd_gap": 0.0, "chi_fd_gap": 0.0},
-            "tolerances": {"abs": told},
-            "pass": bool(m_fd_gap <= told and chi_fd_gap <= told),
-        }
-    )
-
-    # mass and transform error outside the critical window
-    if d >= 3:
-        bc = thermo.critical_beta(d)
-        ns_c = tuple(n for n in ns if n >= 200) or (500, 1000)
-        reports = []
-        law = None
-        for n in ns_c:
-            tc = finiten.build_table(d, n, bc, cache_dir=cfg.cache_dir)
-            reports.append(finiten.truncation_check(tc))
-            law = finiten.spin_law(tc, 0.0)
-        tails = [r.tail_mass for r in reports]
-        decreasing = all(tails[i + 1] < tails[i] for i in range(len(tails) - 1))
-        checks.append(
-            {
-                "check": "critical_window",
-                "d": d,
-                "grid": list(ns_c),
-                "estimates": {
-                    "tail_mass": tails,
-                    "mgf_gap": [r.mgf_gap for r in reports],
-                },
-                "targets": {
-                    "tail_bound": [r.tail_bound for r in reports],
-                    "mgf_gap": 0.0,
-                },
-                "tolerances": {"mgf_gap_abs": 1e-8},
-                "pass": bool(all(r.passed for r in reports) and decreasing),
-            }
-        )
-        if cfg.out and law is not None:
-            finiten.write_spinlaw_csv(law, _sibling(cfg.out, "spinlaw.csv"))
-    return checks
-
-
-def _suite_matching(cfg: RunConfig) -> list[dict]:
-    checks = []
-
-    # enumerated law against the closed-form law, every (k, m) with m <= 12
-    max_gap, cases = 0.0, 0
-    for m in range(2, 13, 2):
-        for k in range(0, m + 1):
-            bf = matching.brute_force_law(k, m)
-            cl = matching.cross_count_law(k, m)
-            if set(bf) != set(cl):
-                max_gap = math.inf
-                continue
-            for x, p in bf.items():
-                max_gap = max(max_gap, abs(math.log(p) - math.log(cl[x])))
-            cases += 1
-    checks.append(
-        {
-            "check": "pairing_law_exact",
-            "d": None,
-            "grid": [2, 12],
-            "estimates": {"max_log_gap": max_gap, "cases": cases},
-            "targets": {"max_log_gap": 0.0},
-            "tolerances": {"abs": 1e-12},
-            "pass": bool(max_gap <= 1e-12),
-        }
-    )
-
-    # sampler agrees with the law within Monte Carlo error
-    rng = np.random.default_rng(cfg.seed)
-    draws = 100_000
-    mc_pass, worst = True, 0.0
-    for k, m in ((4, 12), (7, 16), (12, 30)):
-        law = matching.cross_count_law(k, m)
-        mean = sum(x * p for x, p in law.items())
-        var = sum(x * x * p for x, p in law.items()) - mean * mean
-        se = math.sqrt(var / draws)
-        xs = matching.sample_cross_counts(k, m, draws, rng)
-        z = abs(float(np.mean(xs)) - mean) / se if se > 0 else 0.0
-        worst = max(worst, z)
-        mc_pass = mc_pass and z <= 4.0
-    checks.append(
-        {
-            "check": "sampler_matches_law",
-            "d": None,
-            "grid": [draws],
-            "estimates": {"worst_z": worst},
-            "targets": {"worst_z": 0.0},
-            "tolerances": {"z_max": 4.0},
-            "pass": bool(mc_pass),
-        }
-    )
-
-    # small-table identities: the (d=2, n=2) closed form, the free case,
-    # symmetry, and the pinned endpoints
-    beta = 0.3
-    t22 = matching.log_g_table(2, 2, beta, cache_dir=cfg.cache_dir)
-    gap22 = abs(t22.values[1] - math.log((1.0 + 2.0 * math.exp(-4.0 * beta)) / 3.0))
-    t_free = matching.log_g_table(3, 40, 0.0, cache_dir=cfg.cache_dir)
-    gap_free = float(np.max(np.abs(t_free.values)))
-    t_sym = matching.log_g_table(3, 50, 0.37, cache_dir=cfg.cache_dir)
-    gap_sym = float(np.max(np.abs(t_sym.values - t_sym.values[::-1])))
-    ends = abs(t_sym.values[0]) + abs(t_sym.values[-1])
-    tolg = 1e-12
-    checks.append(
-        {
-            "check": "table_identities",
-            "d": None,
-            "grid": [2, 40, 50],
-            "estimates": {
-                "closed_form_gap": gap22,
-                "free_case_max": gap_free,
-                "symmetry_gap": gap_sym,
-                "endpoint_values": ends,
-            },
-            "targets": {"all": 0.0},
-            "tolerances": {"abs": tolg},
-            "pass": bool(
-                gap22 <= tolg and gap_free <= 1e-10 and gap_sym <= tolg and ends == 0.0
-            ),
-        }
-    )
-    return checks
-
-
+# each suite's checks live with their math; the module attribute is looked up
+# per call, so a tracer that patches it sees the call
 _SUITES = {
-    "taylor": _suite_taylor,
-    "exponents": _suite_exponents,
-    "jump": _suite_jump,
-    "scaling": _suite_scaling,
-    "finiten": _suite_finiten,
-    "matching": _suite_matching,
+    "taylor": lambda cfg: [criticality.taylor_check(cfg.d)],
+    "exponents": lambda cfg: criticality.exponent_checks(cfg.d),
+    "jump": lambda cfg: [criticality.specific_heat_jump(cfg.d)],
+    "scaling": lambda cfg: [criticality.scaling_limit_check(cfg.d, *_sizes(cfg), cache_dir=cfg.cache_dir)],
+    "finiten": lambda cfg: finiten.finite_size_checks(cfg.d, *_sizes(cfg), cache_dir=cfg.cache_dir),
+    "matching": lambda cfg: [
+        matching.pairing_law_exact(),
+        matching.sampler_matches_law(cfg.seed),
+        matching.table_identities(cfg.cache_dir),
+    ],
 }
+SUITES = tuple(_SUITES)
 
 
 def main(argv: list[str] | None = None) -> int:

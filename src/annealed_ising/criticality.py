@@ -40,6 +40,7 @@ __all__ = [
     "fit_exponent_delta",
     "fit_exponent_gamma",
     "exponent_report",
+    "exponent_checks",
     "specific_heat_jump",
     "scaling_limit_check",
 ]
@@ -132,19 +133,40 @@ def scaling_limit(d: int) -> ScalingLimit:
 _STEP = 1e-3
 
 
+def _entropy_increment(u: float) -> float:
+    """phi(u) = -(1/2 - u) log(1 - 2u) - (1/2 + u) log(1 + 2u), for |u| <= 1/4.
+
+    Summed as the even series -sum_{k>=1} (2u)^{2k} / (2k (2k-1)) with
+    math.fsum. Every term has one sign, so nothing cancels; the two log terms
+    are each ~u while phi ~ -2u^2, and their difference would lose the digits
+    that the Taylor stencil's h^-4 then multiplies.
+    """
+    if not abs(u) <= 0.25:
+        raise ValueError(f"u={u}: the series is summed for |u| <= 1/4 only")
+    x2 = 4.0 * u * u
+    terms, p, k = [], x2, 1
+    while True:
+        terms.append(p / (2 * k * (2 * k - 1)))
+        if terms[-1] <= 2.0**-60 * terms[0]:
+            return -math.fsum(terms)
+        p *= x2
+        k += 1
+
+
 def _increments(d: int, c: float, h: float) -> tuple[dict[int, float], dict[int, float]]:
     """G(kh) = H(1/2 + kh) - H(1/2) and the F-part alone, k in {+-1, +-2, +-4}.
 
-    Both pieces are evaluated as increments from 1/2 -- the entropy part via
-    log1p, the F part as F(1/2 - |kh|) - F(1/2) in closed form
-    (`thermo._F_from_half`) -- so the near-total cancellation between them
-    (G ~ 1e-13 at h = 1e-3) costs no precision.
+    Both pieces are evaluated as increments from 1/2 -- the entropy part as
+    a one-signed series (`_entropy_increment`), the F part as
+    F(1/2 - |kh|) - F(1/2) in closed form (`thermo._F_from_half`) -- so the
+    near-total cancellation between them (G ~ 1e-13 at h = 1e-3) costs no
+    precision.
     """
     gvals: dict[int, float] = {}
     fvals: dict[int, float] = {}
     for k in (-4, -2, -1, 1, 2, 4):
         u = k * h
-        phi = -(0.5 - u) * math.log1p(-2.0 * u) - (0.5 + u) * math.log1p(2.0 * u)
+        phi = _entropy_increment(u)
         finc = _F_from_half(0.5 - abs(u), c)
         fvals[k] = finc
         gvals[k] = phi + d * finc
@@ -296,6 +318,16 @@ def exponent_report(
         "amplitude_pass": bool(amp_ok),
         "pass": bool(slope_ok and amp_ok),
     }
+
+
+def exponent_checks(d: int) -> list[dict]:
+    """The `exponents` verify suite: beta, delta, and gamma from below and above."""
+    return [
+        exponent_report("exponent_beta", d, fit_exponent_beta(d)),
+        exponent_report("exponent_delta", d, fit_exponent_delta(d)),
+        exponent_report("exponent_gamma_below", d, fit_exponent_gamma(d, "below")),
+        exponent_report("exponent_gamma_above", d, fit_exponent_gamma(d, "above")),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ The annealed partition function factors over the number j of up spins:
 so every finite-n quantity reduces to the log-weight table
 log x_j = log C(n, j) + log g(d j, d n). The external field enters only at
 query time as a tilt 2 B j, which keeps one table reusable across a field
-scan.
+scan. The checks of the `finiten` verify suite sit at the end.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .kernels import log_factorials
 from .matching import LogG, log_g_table
-from .thermo import critical_beta
+from .thermo import ModelParams, critical_beta, pressure
 
 __all__ = [
     "LogWeightTable",
@@ -34,7 +34,17 @@ __all__ = [
     "mgf_scaled",
     "truncation_check",
     "write_spinlaw_csv",
+    "finite_size_checks",
+    "free_spin_closed_forms",
+    "pressure_gap_shrinks",
+    "derivative_consistency",
+    "critical_window",
 ]
+
+# mgf gap outside the critical window that truncation_check and critical_window accept
+_MGF_GAP_TOL = 1e-8
+# (beta, B) at which pressure_gap_shrinks and derivative_consistency share tables
+_BETA_GAP, _B_GAP = 0.4, 0.1
 
 
 @dataclass(frozen=True)
@@ -232,7 +242,7 @@ def truncation_check(
         mgf_full=full,
         mgf_windowed=windowed,
         mgf_gap=gap,
-        passed=(tail <= bound and gap <= 1e-8),
+        passed=(tail <= bound and gap <= _MGF_GAP_TOL),
     )
 
 
@@ -243,3 +253,102 @@ def write_spinlaw_csv(law: SpinLaw, path: str) -> None:
         fh.write("j,s,prob\n")
         for j in range(law.n + 1):
             fh.write(f"{j},{2 * j - law.n},{float(masses[j])!r}\n")
+
+
+# ---------------------------------------------------------------------------
+# the `finiten` verify suite; each check returns a JSON-ready dict shaped
+# {check, d, grid, estimates, targets, tolerances, pass}, as criticality's do
+
+
+def finite_size_checks(
+    d: int, ns: tuple[int, ...] = (250, 500, 1000), cache_dir: str | None = None
+) -> list[dict]:
+    """The four checks below, on tables built once each.
+
+    The free-spin forms use the first size; derivative_consistency reuses the
+    n = 500 table of the pressure gaps (else the largest); the critical window,
+    only for d >= 3, takes the sizes >= 200 (else 500 and 1000).
+    """
+    checks = [free_spin_closed_forms(build_table(d, ns[0], 0.0, cache_dir=cache_dir))]
+    tables = {n: build_table(d, n, _BETA_GAP, cache_dir=cache_dir) for n in ns}
+    checks.append(pressure_gap_shrinks([tables[n] for n in ns]))
+    checks.append(derivative_consistency(tables[500 if 500 in ns else max(ns)]))
+    if d >= 3:
+        bc = critical_beta(d)
+        ns_c = tuple(n for n in ns if n >= 200) or (500, 1000)
+        checks.append(critical_window([build_table(d, n, bc, cache_dir=cache_dir) for n in ns_c]))
+    return checks
+
+
+def free_spin_closed_forms(table: LogWeightTable) -> dict:
+    """A beta = 0 table against psi = log 2 cosh B, M = tanh B at B = 0.7 and chi(0) = 1.
+
+    All three are exact up to table rounding, so the tolerance is 1e-12.
+    """
+    B0, tol = 0.7, 1e-12
+    gaps = {
+        "psi_gap": abs(finite_pressure(table, B0) - math.log(2.0 * math.cosh(B0))),
+        "M_gap": abs(finite_magnetization(table, B0) - math.tanh(B0)),
+        "chi_gap": abs(finite_susceptibility(table, 0.0) - 1.0),
+    }
+    return {
+        "check": "free_spin_closed_forms",
+        "d": table.d,
+        "grid": [table.n],
+        "estimates": gaps,
+        "targets": dict.fromkeys(gaps, 0.0),
+        "tolerances": {"abs": tol},
+        "pass": all(g <= tol for g in gaps.values()),
+    }
+
+
+def pressure_gap_shrinks(tables: list[LogWeightTable]) -> dict:
+    """|psi_n - psi| at B = 0.1 must fall strictly from each table to the next."""
+    d = tables[0].d
+    psi_inf = pressure(ModelParams(d, tables[0].beta, _B_GAP))
+    gaps = [abs(finite_pressure(t, _B_GAP) - psi_inf) for t in tables]
+    return {
+        "check": "pressure_gap_shrinks",
+        "d": d,
+        "grid": [t.n for t in tables],
+        "estimates": {"psi_gap": gaps},
+        "targets": {"psi_limit": psi_inf},
+        "tolerances": {"monotone": True},
+        "pass": all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1)),
+    }
+
+
+def derivative_consistency(table: LogWeightTable) -> dict:
+    """Exact M_n and chi_n at B = 0.1 against central differences of psi_n, to 1e-6."""
+    h, tol = 1e-5, 1e-6
+    dp = finite_pressure_increment(table, _B_GAP, h)
+    dm = finite_pressure_increment(table, _B_GAP, -h)
+    gaps = {
+        "M_fd_gap": abs((dp - dm) / (2.0 * h) - finite_magnetization(table, _B_GAP)),
+        "chi_fd_gap": abs((dp + dm) / (h * h) - finite_susceptibility(table, _B_GAP)),
+    }
+    return {
+        "check": "derivative_consistency",
+        "d": table.d,
+        "grid": [table.n],
+        "estimates": gaps,
+        "targets": dict.fromkeys(gaps, 0.0),
+        "tolerances": {"abs": tol},
+        "pass": all(g <= tol for g in gaps.values()),
+    }
+
+
+def critical_window(tables: list[LogWeightTable]) -> dict:
+    """truncation_check on each beta_c table; the tail mass must also fall with n."""
+    reports = [truncation_check(t) for t in tables]
+    tails = [r.tail_mass for r in reports]
+    decreasing = all(tails[i + 1] < tails[i] for i in range(len(tails) - 1))
+    return {
+        "check": "critical_window",
+        "d": tables[0].d,
+        "grid": [r.n for r in reports],
+        "estimates": {"tail_mass": tails, "mgf_gap": [r.mgf_gap for r in reports]},
+        "targets": {"tail_bound": [r.tail_bound for r in reports], "mgf_gap": 0.0},
+        "tolerances": {"mgf_gap_abs": _MGF_GAP_TOL},
+        "pass": all(r.passed for r in reports) and decreasing,
+    }

@@ -28,6 +28,9 @@ __all__ = [
     "sample_cross_counts",
     "log_g_table",
     "cache_path",
+    "pairing_law_exact",
+    "sampler_matches_law",
+    "table_identities",
 ]
 
 _LN2 = math.log(2.0)
@@ -229,3 +232,82 @@ def _write_cache(path: Path, d: int, n: int, beta: float, values: np.ndarray) ->
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+# ---------------------------------------------------------------------------
+# the `matching` verify suite; each check returns a JSON-ready dict shaped
+# {check, d, grid, estimates, targets, tolerances, pass}, as criticality's do
+
+
+def pairing_law_exact() -> dict:
+    """brute_force_law against cross_count_law for every (k, m) with m <= 12, to 1e-12 in log."""
+    tol = 1e-12
+    max_gap, cases = 0.0, 0
+    for m in range(2, 13, 2):
+        for k in range(0, m + 1):
+            bf, cl = brute_force_law(k, m), cross_count_law(k, m)
+            if set(bf) != set(cl):
+                max_gap = math.inf
+                continue
+            for x, p in bf.items():
+                max_gap = max(max_gap, abs(math.log(p) - math.log(cl[x])))
+            cases += 1
+    return {
+        "check": "pairing_law_exact",
+        "d": None,
+        "grid": [2, 12],
+        "estimates": {"max_log_gap": max_gap, "cases": cases},
+        "targets": {"max_log_gap": 0.0},
+        "tolerances": {"abs": tol},
+        "pass": max_gap <= tol,
+    }
+
+
+def sampler_matches_law(seed) -> dict:
+    """Mean of 100 000 sampled X(k, m) within 4 standard errors of the exact law's, at three (k, m)."""
+    rng = np.random.default_rng(seed)
+    draws, z_max = 100_000, 4.0
+    worst = 0.0
+    for k, m in ((4, 12), (7, 16), (12, 30)):
+        law = cross_count_law(k, m)
+        mean = sum(x * p for x, p in law.items())
+        var = sum(x * x * p for x, p in law.items()) - mean * mean
+        se = math.sqrt(var / draws)
+        xs = sample_cross_counts(k, m, draws, rng)
+        worst = max(worst, abs(float(np.mean(xs)) - mean) / se if se > 0 else 0.0)
+    return {
+        "check": "sampler_matches_law",
+        "d": None,
+        "grid": [draws],
+        "estimates": {"worst_z": worst},
+        "targets": {"worst_z": 0.0},
+        "tolerances": {"z_max": z_max},
+        "pass": worst <= z_max,
+    }
+
+
+def table_identities(cache_dir=None) -> dict:
+    """Small tables: the (d=2, n=2) closed form, the free case, j <-> n-j symmetry, pinned ends."""
+    tol = 1e-12
+    beta = 0.3
+    t22 = log_g_table(2, 2, beta, cache_dir=cache_dir)
+    gap22 = abs(t22.values[1] - math.log((1.0 + 2.0 * math.exp(-4.0 * beta)) / 3.0))
+    t_free = log_g_table(3, 40, 0.0, cache_dir=cache_dir)
+    gap_free = float(np.max(np.abs(t_free.values)))
+    t_sym = log_g_table(3, 50, 0.37, cache_dir=cache_dir)
+    gap_sym = float(np.max(np.abs(t_sym.values - t_sym.values[::-1])))
+    ends = abs(t_sym.values[0]) + abs(t_sym.values[-1])
+    return {
+        "check": "table_identities",
+        "d": None,
+        "grid": [2, 40, 50],
+        "estimates": {
+            "closed_form_gap": gap22,
+            "free_case_max": gap_free,
+            "symmetry_gap": gap_sym,
+            "endpoint_values": ends,
+        },
+        "targets": {"all": 0.0},
+        "tolerances": {"abs": tol},
+        "pass": bool(gap22 <= tol and gap_free <= 1e-10 and gap_sym <= tol and ends == 0.0),
+    }

@@ -38,7 +38,7 @@ from annealed_ising import (
     truncation_check,
     ModelParams,
 )
-from annealed_ising.cli import main
+from annealed_ising.cli import SUITES, main
 from gauss_legendre import adaptive_quad
 
 BC3 = critical_beta(3)
@@ -409,17 +409,20 @@ def test_c7_runtime(truncation_reports):
 # 8. deterministic reports
 
 
-def test_c8_reports_byte_identical(tmp_path):
-    """Repeated verify runs with a fixed seed emit byte-identical JSON."""
-    outs = []
-    for name in ("one.json", "two.json"):
-        path = tmp_path / name
-        assert main(["verify", "--suite", "matching", "--d", "3", "--seed", "99", "--out", str(path)]) == 0
-        outs.append(path.read_bytes())
-    assert outs[0] == outs[1]
-    # a seed-free numeric suite is deterministic too
-    for name in ("t1.json", "t2.json"):
-        path = tmp_path / name
-        main(["verify", "--suite", "taylor", "--d", "3", "--out", str(path)])
-        outs.append(path.read_bytes())
-    assert outs[2] == outs[3]
+def test_c8_reports_byte_identical(tmp_path, cache_dir):
+    """Two verify runs of every suite with a fixed seed emit byte-identical files.
+
+    Each run writes its report and any scan.csv / spinlaw.csv next to it in a
+    directory of its own; the first run may fill the table cache the second reads.
+    """
+    for suite in SUITES:
+        outs = []
+        for run in ("one", "two"):
+            where = tmp_path / suite / run
+            where.mkdir(parents=True)
+            argv = ["verify", "--suite", suite, "--d", "3", "--seed", "99", "--cache-dir", cache_dir]
+            rc = main(argv + ["--out", str(where / "report.json")])
+            if suite == "matching":
+                assert rc == 0
+            outs.append({p.name: p.read_bytes() for p in where.iterdir()})
+        assert outs[0] == outs[1], suite

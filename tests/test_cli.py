@@ -268,8 +268,9 @@ def test_verify_finiten_writes_sibling_spinlaw(tmp_path, cache_dir):
     names = [c["check"] for c in rep["checks"]]
     assert names[:3] == ["free_spin_closed_forms", "pressure_gap_shrinks", "derivative_consistency"]
     assert all(c["pass"] for c in rep["checks"][:3])
-    assert (tmp_path / "spinlaw.csv").exists()
-    assert "np.float64" not in (tmp_path / "spinlaw.csv").read_text()
+    text = (tmp_path / "spinlaw.csv").read_text()
+    assert "np.float64" not in text
+    assert len(text.splitlines()) == 1 + 501  # the law at the window's largest n
 
 
 def test_outputs_land_exactly_where_asked(tmp_path):

@@ -1,6 +1,8 @@
 """Finite-size weights, the spin law, and its transforms."""
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from annealed_ising import (
     ModelParams,
     build_table,
     critical_beta,
+    finite_size_checks,
     finite_magnetization,
     finite_pressure,
     finite_pressure_increment,
@@ -20,6 +23,7 @@ from annealed_ising import (
     truncation_check,
     write_spinlaw_csv,
 )
+from annealed_ising import finiten
 from annealed_ising.matching import log_g_table
 
 BC3 = critical_beta(3)
@@ -206,3 +210,72 @@ def test_spinlaw_csv_roundtrip(tmp_path, get_table):
         assert int(ss) == 2 * j - 100
         total += float(sp)
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the `finiten` verify checks
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_finite_size_checks_read_each_table_once(monkeypatch, cache_dir, d):
+    reads = Counter()
+    real = finiten.log_g_table
+
+    def counting(d, n, beta, cache_dir=None):
+        reads[n, beta] += 1
+        return real(d, n, beta, cache_dir=cache_dir)
+
+    monkeypatch.setattr(finiten, "log_g_table", counting)
+    checks = finite_size_checks(d, (250, 500), cache_dir=cache_dir)
+    names = ["free_spin_closed_forms", "pressure_gap_shrinks", "derivative_consistency"]
+    if d >= 3:
+        names.append("critical_window")
+    assert [c["check"] for c in checks] == names
+    keys = ["check", "d", "grid", "estimates", "targets", "tolerances", "pass"]
+    assert all(list(c) == keys and c["d"] == d for c in checks)
+    # one beta = 0 table, the beta = 0.4 pair shared by two checks, the beta_c pair
+    want = {(250, 0.0): 1, (250, 0.4): 1, (500, 0.4): 1}
+    if d >= 3:
+        want.update({(250, critical_beta(d)): 1, (500, critical_beta(d)): 1})
+    assert reads == want
+    assert checks[2]["grid"] == [500]
+
+
+# ---------------------------------------------------------------------------
+# end to end: E[Z_n] by enumerating every pairing and every spin configuration
+
+
+def _pairings(points):
+    """Every perfect matching of `points`, as a tuple of pairs."""
+    if not points:
+        yield ()
+        return
+    first, rest = points[0], points[1:]
+    for i, second in enumerate(rest):
+        for tail in _pairings(rest[:i] + rest[i + 1 :]):
+            yield ((first, second),) + tail
+
+
+def _enumerated_counts(d, n):
+    """Integer counts of (sum over edges of s_u s_v, sum of s) over every pairing and spin configuration.
+
+    Configuration model: half-edge h sits on vertex h // d; self-loops and
+    multi-edges count like any edge. Returns the counts and the pairing count.
+    """
+    graphs = Counter(
+        tuple(sorted((a // d, b // d) for a, b in pairing)) for pairing in _pairings(list(range(d * n)))
+    )
+    tally = Counter()
+    for spins in itertools.product((-1, 1), repeat=n):
+        for edges, mult in graphs.items():
+            tally[sum(spins[u] * spins[v] for u, v in edges), sum(spins)] += mult
+    return tally, sum(graphs.values())
+
+
+@pytest.mark.parametrize("d, n", [(3, 2), (3, 4), (2, 4), (4, 2), (2, 6)])
+def test_finite_pressure_matches_enumerated_pairings(d, n):
+    tally, pairings = _enumerated_counts(d, n)
+    for beta, B in ((0.0, 0.7), (0.4, 0.1), (1.3, 0.35)):
+        ez = math.fsum(c * math.exp(beta * e + B * s) for (e, s), c in tally.items()) / pairings
+        got = finite_pressure(build_table(d, n, beta), B)
+        assert abs(got - math.log(ez) / n) <= 1e-14, (beta, B)
