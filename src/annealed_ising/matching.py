@@ -10,6 +10,7 @@ values. Laws are exact; only `sample_cross_count` is stochastic.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import tempfile
@@ -180,6 +181,7 @@ def log_g_table(
         if values is not None:
             return LogG(d, n, beta, values)
     values = gtable_values(d, n, beta)
+    values.setflags(write=False)  # read-only, as the values of a cache hit are
     if path is not None:
         _write_cache(path, d, n, beta, values)
     return LogG(d, n, beta, values)
@@ -198,20 +200,30 @@ def _record(n: int) -> np.dtype:
     return np.dtype([("d", "<i8"), ("n", "<i8"), ("beta", "<f8"), ("values", "<f8", (n + 1,))])
 
 
+def _header(n: int) -> bytes:
+    """The bytes np.lib.format writes ahead of a `_record(n)` record."""
+    rtype = _record(n)
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.zeros((), rtype), allow_pickle=False)
+    return buf.getvalue()[: -rtype.itemsize]
+
+
 def _read_cache(path: Path, d: int, n: int, beta: float) -> np.ndarray | None:
     """Load a cache record; any mismatch or corruption means 'recompute'.
 
-    The file must hold exactly one record of dtype `_record(n)` and nothing
-    after it, (d, n, beta) must equal the request bitwise, and every value
-    must be a finite log-weight, so <= 0.
+    The file must be exactly `_header(n)` and one record of dtype `_record(n)`,
+    (d, n, beta) must equal the request bitwise, and every value must be a
+    finite log-weight, so <= 0. The values returned are read-only.
     """
+    head, rtype = _header(n), _record(n)
     try:
         with open(path, "rb") as fh:
-            rec = np.lib.format.read_array(fh, allow_pickle=False)
-            if fh.read(1) or rec.shape != () or rec.dtype != _record(n):
-                return None
-    except (OSError, ValueError):
+            buf = fh.read(len(head) + rtype.itemsize + 1)
+    except OSError:
         return None
+    if len(buf) != len(head) + rtype.itemsize or not buf.startswith(head):
+        return None
+    rec = np.frombuffer(buf, rtype, offset=len(head)).reshape(())
     if rec["d"] != d or rec["n"] != n or rec["beta"].tobytes() != np.array(beta, "<f8").tobytes():
         return None
     values = rec["values"]
@@ -225,8 +237,7 @@ def _write_cache(path: Path, d: int, n: int, beta: float, values: np.ndarray) ->
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            rec = np.array((d, n, beta, values), dtype=_record(n))
-            np.lib.format.write_array(fh, rec, allow_pickle=False)
+            fh.write(_header(n) + np.array((d, n, beta, values), dtype=_record(n)).tobytes())
         os.replace(tmp, path)  # atomic on POSIX
     except BaseException:
         if os.path.exists(tmp):

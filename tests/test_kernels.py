@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from annealed_ising import critical_beta
+from annealed_ising import build_table, critical_beta, kernels
 from annealed_ising.kernels import KERNEL_BACKEND, _fill_half, gtable_values, log_factorials
 
 BETAS = ("0", "0.2", "bc", "1.2", "3.0")
@@ -132,6 +132,29 @@ def test_log_factorials_exact_small():
 def test_log_factorials_is_bitwise_per_entry_lgamma():
     m = 30000
     assert np.array_equal(log_factorials(m), [math.lgamma(i + 1.0) for i in range(m + 1)])
+
+
+def test_log_factorials_grow_one_prefix_bitwise_in_any_call_order(monkeypatch):
+    monkeypatch.setattr(kernels, "_prefix", np.empty(0))
+    for m in (10, 3, 30000, 8000):
+        lf = log_factorials(m)
+        assert np.array_equal(lf, [math.lgamma(i + 1.0) for i in range(m + 1)]), m
+        assert not lf.flags.writeable
+        with pytest.raises(ValueError):
+            lf[0] = 1.0
+    assert kernels._prefix.size == 30001  # grown to the largest call, never rebuilt
+
+
+def test_a_cached_table_costs_no_lgamma(monkeypatch, tmp_path):
+    monkeypatch.setattr(kernels, "_prefix", np.empty(0))
+    beta = critical_beta(3)
+    first = build_table(3, 1000, beta, cache_dir=tmp_path)  # a miss: fills the table
+    calls = []
+    lgamma = math.lgamma
+    monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
+    hit = build_table(3, 1000, beta, cache_dir=tmp_path)
+    assert calls == []
+    assert np.array_equal(hit.log_x, first.log_x)
 
 
 def test_backend_name_is_sane():

@@ -16,7 +16,7 @@ from annealed_ising import (
     sample_cross_count,
     sample_cross_counts,
 )
-from annealed_ising.matching import CACHE_ENV, cache_path
+from annealed_ising.matching import CACHE_ENV, _header, _record, cache_path
 
 
 def law_mean_var(law):
@@ -234,6 +234,25 @@ def test_cache_roundtrips_bitwise(tmp_path, beta):
     assert np.array_equal(np.signbit(hit), np.signbit(fresh))
 
 
+def test_table_values_are_read_only_on_a_miss_and_a_hit(tmp_path):
+    miss = log_g_table(3, 20, 0.3, cache_dir=tmp_path).values
+    hit = log_g_table(3, 20, 0.3, cache_dir=tmp_path).values
+    uncached = log_g_table(3, 20, 0.3).values
+    for values in (miss, hit, uncached):
+        with pytest.raises(ValueError):
+            values[1] = 0.0
+    assert np.array_equal(hit, miss)
+
+
+def test_cache_file_is_the_header_and_one_record(tmp_path):
+    d, n, beta = 3, 20, 0.3
+    values = log_g_table(d, n, beta, cache_dir=tmp_path).values
+    record = np.array((d, n, beta, values), dtype=_record(n))
+    assert cache_path(tmp_path, d, n, beta).read_bytes() == _header(n) + record.tobytes()
+    assert _header(n) + record.tobytes() == _npy(record)  # what np.lib.format writes
+    assert len(_header(n)) % 64 == 0  # so the record's doubles sit aligned
+
+
 def test_cache_rejects_corruption(tmp_path):
     d, n, beta = 3, 20, 0.3
     log_g_table(d, n, beta, cache_dir=tmp_path)
@@ -357,6 +376,32 @@ def _assert_rewritten(tmp_path, corrupt):
 def test_cache_rejects_a_body_that_is_not_rows_0_to_n(tmp_path, corrupt):
     # "rows" are the entries j = 0..n of the values field
     _assert_rewritten(tmp_path, corrupt)
+
+
+def _npy_version_2(good, values):
+    # a valid .npy of the right record, under a header the writer does not produce
+    buf = io.BytesIO()
+    record = np.array((_D, _N, _BETA, values), dtype=_record(_N))
+    np.lib.format.write_array(buf, record, version=(2, 0), allow_pickle=False)
+    return buf.getvalue()
+
+
+def _padded_header(good, values):
+    # the same header dict, padded by 64 more spaces: np.load reads it, the cache does not
+    head = _header(_N)
+    text = head[10:-1] + b" " * 64 + b"\n"
+    return head[:8] + len(text).to_bytes(2, "little") + text + good[len(head) :]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("corrupt", [_npy_version_2, _padded_header])
+def test_cache_serves_a_record_only_under_the_writers_header(tmp_path, corrupt):
+    fresh = log_g_table(_D, _N, _BETA).values
+    record = np.array((_D, _N, _BETA, fresh), dtype=_record(_N))
+    good = _header(_N) + record.tobytes()
+    assert np.load(io.BytesIO(corrupt(good, fresh))).tobytes() == record.tobytes()  # a valid .npy
+    _assert_rewritten(tmp_path, corrupt)
+    assert cache_path(tmp_path, _D, _N, _BETA).read_bytes() == good
 
 
 def _empty(good, values):
