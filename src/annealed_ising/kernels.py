@@ -1,27 +1,44 @@
-"""Log-factorial prefix and the certified windowed fill of the log g-table.
+"""Log-factorial prefix and the O(dn) recurrence fill of the log g-table.
 
-Row j of the table is log g_beta(k, m) with k = dj, m = dn: a log-sum-exp
-over the cross counts x = k mod 2, ..., min(k, m-k) in steps of 2 of
+Row j of the table is log g_k with k = dj, m = dn and g_k = E[c^X], c =
+e^{-2β}, X the cross count of a uniform perfect matching of m points with k
+marked. Weighting each matching by c^(cross pairs), Isserlis' theorem makes
+the weights sum to E[U^k V^{m-k}] for standard normals U, V with correlation
+c, so Σ_k C(m,k) g_k s^k = (1 + 2cs + s²)^{m/2}. Differentiating in s gives
 
-    t(x) = base - lnΓ(x+1) - lnΓ((k-x)/2+1) - lnΓ((m-k-x)/2+1) + (ln2 - 2β) x.
+    (m-k) g_{k+1} = c (m-2k) g_k + k g_{k-1},    g_0 = 1, g_1 = c.
 
-The ratio of neighbouring terms, e^{t(x+2) - t(x)} = c²(k-x)(m-k-x)/((x+1)(x+2))
-with c = e^{-2β}, falls with x, so t is concave on its support. The fill
-therefore sums each row only over a window around its mode and certifies the
-cut: each window end sits on the support boundary or at least _CUT nats below
-the row maximum. Concavity makes every omitted term smaller than the end term
-beside it, so the omitted mass is at most (#omitted) e^{-_CUT} = (#omitted)
-4.2e-18 of the row sum: under 5e-14 relative while rows have fewer than 12000
-terms, i.e. while dn < 48000. A row that fails the check is summed again over
-a doubled window; no row is left uncertified.
+Parity split: X ≡ k (mod 2), so g_k = c^{k mod 2} f_k with
 
-Each window is read as contiguous row copies out of strided views over small
-padded lookups, so no term needs an index of its own; the terms and sums are
-bitwise those of a per-term gather.
+    f_{k+1} = (w_k (m-2k) f_k + k f_{k-1}) / (m-k),    f_0 = f_1 = 1,
+
+w_k = 1 for even k and c² for odd k. Only c² = e^{-4β} enters, and an odd
+row is log f_k - 2β, finite for every finite β even where c² underflows to 0.
+One pass over k = 0..m/2 fills the whole half table: O(dn) scalar steps.
+
+Rescaling: every f_k <= 1, and f_{k+1} >= f_{k-1}/m. When
+f_k or f_{k+1} drops below 2^-830 ~ 1.4e-250 the pair is multiplied by 2^830,
+which is exact, and the count of such shifts is subtracted as 830 ln 2 each
+in the vectorised log at the end; nothing comes near the subnormal range.
+
+Rounding: both terms of the recurrence are >= 0, so nothing cancels and the
+relative error of a sum is at most the larger relative error of its terms.
+A step costs at most four roundings (c² (m-2k), the product with f_k, the
+sum, the quotient), so f_k carries <= 4ku. f_k is a polynomial of degree
+<= k/2 in c² with non-negative coefficients, so the <= 1 ulp of c² adds
+<= ku (where c² is subnormal or 0 the c² terms are below 1e-290 of f_k).
+The final log (<= 1 ulp), the shift count times 830 ln 2 (three roundings),
+the subtraction and the -2β (one each) add <= 7u |log g_k| + O(u). Hence
+
+    |error of row k| <= 8 u (k + max(1, |log g_k|)),    u = 2^-53,
+
+with k the smaller of dj and dn - dj. No flat absolute bound can hold: one
+ulp of |log g| > 4096 is already 9.1e-13. At β = 0, c² = 1 makes every f_k
+exactly 1, so the free table is exactly 0.
 
 `log_factorials` slices one log-factorial prefix that is shared by every
-caller, read-only, and kept for the life of the process. It grows only by the
-entries a call is missing, so it holds 8·max(dn) bytes: 4.8 MB at dn = 6e5.
+caller, read-only, and kept for the life of the process; it serves
+`finiten.build_table`'s binomials, so it holds 8·max(n) bytes.
 """
 
 from __future__ import annotations
@@ -29,17 +46,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 KERNEL_BACKEND = "numpy"
 
 __all__ = ["KERNEL_BACKEND", "gtable_values", "log_factorials"]
 
 _LN2 = 0.6931471805599453
-_CUT = 40.0  # nats below the row maximum at which a window may end
-# Rows per 2-D block; part of the bitwise result, not a tuning knob: numpy's
-# pairwise row sum depends on the block width, the chunk's widest window.
-_CHUNK = 32
+_SHIFT = 830  # a rescale multiplies f by 2^_SHIFT
+_TINY = 2.0**-_SHIFT
+_HUGE = 2.0**_SHIFT
 
 
 # log(i!) for i = 0..size-1, shared by every caller and grown on demand
@@ -69,88 +84,40 @@ def gtable_values(d: int, n: int, beta: float) -> np.ndarray:
     """
     if not math.isfinite(beta) or beta < 0:
         raise ValueError(f"beta={beta}: need a finite beta >= 0")
+    m = d * n
+    c2 = math.exp(-4.0 * float(beta))
+    # f_0..f_{m/2}, two steps (odd k, then even k + 1) per turn; the floats
+    # a, kf hold m - k and k exactly. The last turn may add f_{m/2+1}.
+    f = [1.0, 1.0]
+    shifts = []  # the first k carrying one more rescale
+    f_prev = f_cur = 1.0
+    mf, kf = float(m), 1.0
+    for k in range(1, m // 2, 2):
+        a = mf - kf
+        f_even = (c2 * (a - kf) * f_cur + kf * f_prev) / a
+        a -= 1.0
+        kf += 1.0
+        f_odd = ((a - kf) * f_even + kf * f_cur) / a
+        kf += 1.0
+        if f_even < _TINY or f_odd < _TINY:
+            f_even *= _HUGE
+            f_odd *= _HUGE
+            shifts.append(k + 1)
+        f.append(f_even)
+        f.append(f_odd)
+        f_prev, f_cur = f_even, f_odd
+    k = np.arange(0, d * (n // 2) + 1, d)
     out = np.empty(n + 1)
-    _fill_half(d, n, float(beta), log_factorials(d * n), out[: n // 2 + 1])
+    half = out[: n // 2 + 1]
+    np.log(f[: k[-1] + 1 : d], out=half)
+    if shifts:
+        half -= np.searchsorted(shifts, k, side="right") * (_SHIFT * _LN2)
+    if d & 1:
+        half[1::2] -= 2.0 * beta  # the odd rows k = dj
     out[n // 2 + 1 :] = out[: (n + 1) // 2][::-1]
     # g(0, m) = g(m, m) = 1 exactly, and g <= 1 throughout: pin the endpoints
-    # and clamp the positive fp dust left by the lnfact cancellations.
+    # and clamp any positive rounding dust.
     out[0] = 0.0
     out[n] = 0.0
     np.minimum(out, 0.0, out=out)
     return out
-
-
-def _fill_half(d: int, n: int, beta: float, lnfact: np.ndarray, out: np.ndarray) -> int:
-    """Write out[j] = log g_beta(dj, dn) for j = 0..n//2; return the rows widened.
-
-    Row k's term i = 0..top, at x = x0 + 2i with x0 = k mod 2, is
-
-        ((base - A[x0][i]) - R[h - k//2 + i] - R[h - (m-k)//2 + i]) + X[x0][i]
-
-    with h = m/2, A[x0][i] = lnΓ(x+1), X[x0][i] = (ln2 - 2β)x and R[r] =
-    lnΓ(h - r + 1), so a window is one contiguous run of each lookup.
-    """
-    m = d * n
-    h = m // 2
-    coef = _LN2 - 2.0 * beta
-    c2 = math.exp(-4.0 * beta)
-    k = d * np.arange(out.size, dtype=np.int64)
-    mk = m - k
-    x0 = k & 1
-    top = (np.minimum(k, mk) - x0) >> 1
-    # Mode: the stable root of (1 - c²)x² + (3 + c²m)x + (2 - c²k(m-k)) = 0,
-    # which turns linear at beta = 0 and the form below handles unchanged.
-    qa, qb = 1.0 - c2, 3.0 + c2 * m
-    qc = 2.0 - c2 * k.astype(np.float64) * mk
-    x = np.clip(-2.0 * qc / (qb + np.sqrt(qb * qb - 4.0 * qa * qc)), x0, x0 + 2 * top)
-    centre = np.clip(np.rint((x - x0) / 2.0).astype(np.int64), 0, top)
-    # t'' ≈ -(1/x + 1/(2(k-x)) + 1/(2(m-k-x))) per unit x, 4 t'' per step in
-    # i; a parabola with that curvature drops _CUT nats at this half-width,
-    # and the 15% slack covers the skew of all but a few rows.
-    curv = 4.0 / (x + 1.0) + 2.0 / (k - x + 2.0) + 2.0 / (mk - x + 2.0)
-    width = np.ceil(1.15 * np.sqrt(2.0 * _CUT / curv)).astype(np.int64) + 2
-    del qc, x, curv
-    base = lnfact[k] + lnfact[mk] + lnfact[h] - lnfact[m]
-    off_a = x0 * ((h + 2) // 2)  # the odd-x run follows the even-x run
-    off_b = h - (k >> 1)
-    off_c = h - (mk >> 1)
-    del k, mk, x0
-    # A window is at most top + 1 <= m/4 + 1 wide. The zero padding lets every
-    # row read that full width; the -inf mask below hides what it reads past
-    # its end.
-    wide = int(top[-1]) + 1
-
-    def rows_of(*runs):
-        return sliding_window_view(np.concatenate([*runs, np.zeros(wide)]), wide)
-
-    half = lnfact[: h + 1]
-    lnA = rows_of(half[0::2], half[1::2])
-    lnR = rows_of(half[::-1])
-    cx = rows_of(coef * np.arange(0.0, h + 1, 2), coef * np.arange(1.0, h + 1, 2))
-    widened = 0
-    for s in range(0, out.size, _CHUNK):
-        rows = np.arange(s, min(s + _CHUNK, out.size))
-        w = width[rows]
-        while rows.size:
-            lo = np.maximum(centre[rows] - w, 0)
-            hi = np.minimum(centre[rows] + w, top[rows])
-            span = hi - lo
-            cols = int(span.max()) + 1
-            a = off_a[rows] + lo
-            t = lnA[a, :cols]
-            np.subtract(base[rows, None], t, out=t)
-            t -= lnR[off_b[rows] + lo, :cols]
-            t -= lnR[off_c[rows] + lo, :cols]
-            t += cx[a, :cols]
-            t[np.arange(cols) > span[:, None]] = -np.inf
-            mx = t.max(axis=1)
-            floor = mx - _CUT
-            ends = t[np.arange(rows.size), span]
-            done = ((lo == 0) | (t[:, 0] <= floor)) & ((hi == top[rows]) | (ends <= floor))
-            t = t[done]
-            t -= mx[done, None]
-            out[rows[done]] = mx[done] + np.log(np.exp(t, out=t).sum(axis=1))
-            rows, w = rows[~done], 2 * w[~done]
-            widened += rows.size
-    return widened
-

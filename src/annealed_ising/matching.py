@@ -10,6 +10,7 @@ values. Laws are exact; only `sample_cross_count` is stochastic.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
@@ -195,13 +196,15 @@ def cache_path(cache_dir, d: int, n: int, beta: float) -> Path | None:
     return Path(root).expanduser() / f"gtable_d{d}_n{n}_b{float(beta)!r}.npy"
 
 
+@functools.lru_cache(maxsize=64)
 def _record(n: int) -> np.dtype:
-    """The one dtype a cache file for an n-vertex table may hold."""
+    """The one dtype a cache file for an n-vertex table may hold (memoised per n)."""
     return np.dtype([("d", "<i8"), ("n", "<i8"), ("beta", "<f8"), ("values", "<f8", (n + 1,))])
 
 
+@functools.lru_cache(maxsize=64)
 def _header(n: int) -> bytes:
-    """The bytes np.lib.format writes ahead of a `_record(n)` record."""
+    """The bytes np.lib.format writes ahead of a `_record(n)` record (memoised per n)."""
     rtype = _record(n)
     buf = io.BytesIO()
     np.lib.format.write_array(buf, np.zeros((), rtype), allow_pickle=False)

@@ -1,101 +1,54 @@
-"""The windowed table fill against the full sum and the closed form."""
+"""The recurrence table fill against a decimal oracle, the closed form and exact cases."""
 
+import functools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from annealed_ising import build_table, critical_beta, kernels
-from annealed_ising.kernels import KERNEL_BACKEND, _fill_half, gtable_values, log_factorials
+from annealed_ising.kernels import KERNEL_BACKEND, gtable_values, log_factorials
+from annealed_ising.matching import brute_force_law, cross_count_law
 
 BETAS = ("0", "0.2", "bc", "1.2", "3.0")
-GATHER_CHUNK = 32
+U = 2.0**-53
+_enumerated_law = functools.lru_cache(maxsize=None)(brute_force_law)  # shared across betas
 
 
 def _beta(label, d):
     return critical_beta(d) if label == "bc" else float(label)
 
 
-def full_sum_half(d, n, beta):
-    """Rows j = 0..n//2 summed over their whole support: the O(d n^2) oracle.
+def decimal_log_g(k, m, beta):
+    """log g_beta(k, m) to 40 digits, summed over the law of X; no k-recurrence.
 
-    Terms are formed exactly as the kernel forms them, so any difference from
-    the windowed fill is the omitted tail plus summation rounding.
+    The sum starts at the support's first term P(X = x0) c^x0, x0 = k mod 2,
+    from an exact ratio of integer double factorials, and walks x up in
+    steps of 2 by the ratio c²(k-x)(m-k-x)/((x+1)(x+2)) of neighbouring
+    terms. Every term is positive; at 40 digits the ~m/2 roundings stay
+    below 1e-35 relative, far under a double's ulp. The ratio falls with x,
+    so once it is below 1/2 the rest of the sum is below the last term: the
+    walk stops there when that term is under 1e-42 of the total.
     """
-    m = d * n
-    lnfact = log_factorials(m)
-    coef = math.log(2.0) - 2.0 * beta
-    out = np.empty(n // 2 + 1)
-    for j in range(n // 2 + 1):
-        k, mk = d * j, m - d * j
-        base = lnfact[k] + lnfact[mk] + lnfact[m // 2] - lnfact[m]
-        xs = np.arange(k & 1, min(k, mk) + 1, 2)
-        t = base - lnfact[xs] - lnfact[(k - xs) >> 1] - lnfact[(mk - xs) >> 1] + coef * xs
-        mx = t.max()
-        out[j] = mx + np.log(np.exp(t - mx).sum())
-    return out
-
-
-def gather_fill_half(d, n, beta, lnfact, out):
-    """The windowed fill with every term read by its own computed-index gather.
-
-    Same modes, windows, 32-row chunks, -inf padding and widening as the
-    kernel, but each term looks up lnfact[x], lnfact[(k-x)/2] and
-    lnfact[(m-k-x)/2] at indices computed per term. The kernel's strided row
-    copies must reproduce it bit for bit.
-    """
-    m = d * n
-    coef = math.log(2.0) - 2.0 * beta
-    c2 = math.exp(-4.0 * beta)
-    widened = 0
-    for s in range(0, out.size, GATHER_CHUNK):
-        k = d * np.arange(s, min(s + GATHER_CHUNK, out.size), dtype=np.int64)
-        mk = m - k
-        x0 = k & 1
-        top = (np.minimum(k, mk) - x0) >> 1
-        qa, qb = 1.0 - c2, 3.0 + c2 * m
-        qc = 2.0 - c2 * k.astype(np.float64) * mk
-        x = np.clip(-2.0 * qc / (qb + np.sqrt(qb * qb - 4.0 * qa * qc)), x0, x0 + 2 * top)
-        centre = np.clip(np.rint((x - x0) / 2.0).astype(np.int64), 0, top)
-        curv = 4.0 / (x + 1.0) + 2.0 / (k - x + 2.0) + 2.0 / (mk - x + 2.0)
-        w = np.ceil(1.15 * np.sqrt(2.0 * 40.0 / curv)).astype(np.int64) + 2
-        rows = np.arange(k.size)
-        while rows.size:
-            lo = np.maximum(centre[rows] - w, 0)
-            hi = np.minimum(centre[rows] + w, top[rows])
-            done, vals = _gather_window(k[rows], m, lo, hi, top[rows], coef, lnfact)
-            out[s + rows[done]] = vals
-            rows, w = rows[~done], 2 * w[~done]
-            widened += rows.size
-    return widened
-
-
-def _gather_window(k, m, lo, hi, top, coef, lnfact):
-    mk = m - k
-    base = lnfact[k] + lnfact[mk] + lnfact[m // 2] - lnfact[m]
-    span = hi - lo
-    cols = np.arange(int(span.max()) + 1)
-    pad = cols > span[:, None]
-    xs = (k & 1)[:, None] + 2 * np.minimum(lo[:, None] + cols, hi[:, None])
-    t = base[:, None] - lnfact[xs]
-    t -= lnfact[(k[:, None] - xs) >> 1]
-    t -= lnfact[(mk[:, None] - xs) >> 1]
-    t += coef * xs
-    t[pad] = -np.inf
-    mx = t.max(axis=1)
-    floor = mx - 40.0
-    ends = t[np.arange(k.size), span]
-    done = ((lo == 0) | (t[:, 0] <= floor)) & ((hi == top) | (ends <= floor))
-    t = t[done]
-    t -= mx[done, None]
-    return done, mx[done] + np.log(np.exp(t, out=t).sum(axis=1))
-
-
-def full_sum_table(d, n, beta):
-    half = full_sum_half(d, n, beta)
-    out = np.concatenate([half, half[: (n + 1) // 2][::-1]])
-    out[0] = out[n] = 0.0
-    return np.minimum(out, 0.0)
+    x0 = k & 1
+    # P(X = x0) = (k-1-x0)!! (m-k-1-x0)!! (k(m-k))^x0 / (m-1)!!; dividing out
+    # (m-k-1-x0)!! leaves the top (k+x0)/2 factors of (m-1)!!
+    num = math.prod(range(k - 1 - x0, 0, -2)) * (k * (m - k)) ** x0
+    den = math.prod(range(m - 1, m - k - 1 - x0, -2))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        c = (Decimal(-2) * Decimal(beta)).exp()
+        c2 = c * c
+        term = Decimal(num) / Decimal(den) * c**x0
+        total = term
+        for x in range(x0, min(k, m - k) - 1, 2):
+            ratio = c2 * ((k - x) * (m - k - x)) / ((x + 1) * (x + 2))
+            term *= ratio
+            total += term
+            if 2 * ratio < 1 and term < total * Decimal("1e-42"):
+                break
+        return total.ln()
 
 
 def closed_form_log_g(k, m, beta):
@@ -175,22 +128,71 @@ def test_values_shape_and_clamps():
     assert np.array_equal(out, out[::-1])
 
 
-@pytest.mark.parametrize("label", BETAS)
-@pytest.mark.parametrize("d,n", [(3, 2), (3, 50), (4, 101), (3, 998), (3, 4000), (4, 4000)])
-def test_windowed_matches_full_sum(d, n, label):
+ORACLE_GRID = [
+    (d, n, label)
+    for d, n in [(3, 2), (3, 50), (4, 101), (3, 998), (3, 4000), (4, 4000)]
+    for label in BETAS
+] + [(3, 1000, "3.0"), (3, 8000, "0.2"), (3, 8000, "1.2")]
+
+
+@pytest.mark.parametrize("d,n,label", ORACLE_GRID)
+def test_matches_decimal_oracle(d, n, label):
+    """Each checked row within the fill's rounding bound of the 40-digit sum.
+
+    The bound 8u(k + max(1, |log g_k|)), u = 2^-53, k = min(dj, dn-dj), is
+    the kernels docstring's count of roundings: <= 4u per recurrence step and
+    ku from c², so 5ku on f_k, then <= 7u|log g_k| + O(u) from the log, the
+    rescale shift and the -2β. It is fixed by that count, not by what the
+    fill prints. A flat 1e-12 cannot hold: one ulp of |log g| > 4096 is
+    already 9.1e-13.
+    """
     beta = _beta(label, d)
     got = gtable_values(d, n, beta)
-    assert np.max(np.abs(got - full_sum_table(d, n, beta))) <= 1e-12
+    if n <= 101:
+        rows = range(n + 1)
+    else:
+        rows = {1, 2, n // 8, n // 4, n // 2 - 1, n // 2, n - 2, int(np.argmin(got))}
+    _assert_rows_match_oracle(d, n, beta, got, rows)
 
 
-@pytest.mark.parametrize("d,n,beta", [(3, 1000, 3.0), (3, 8000, 0.2)])
-def test_widened_windows_end_on_the_full_sum(d, n, beta):
-    # rows that outgrow their curvature estimate (most rows at beta = 3, where
-    # the mode sits near the support start; 3% of them at beta = 0.2, n = 8000)
-    # are summed again over doubled windows until both ends are certified
-    out = np.empty(n // 2 + 1)
-    assert _fill_half(d, n, beta, log_factorials(d * n), out) > 0
-    assert np.max(np.abs(out - full_sum_half(d, n, beta))) <= 1e-12
+def test_rescaled_rows_match_decimal_oracle():
+    # |log g| reaches ~3150 here, so the fill rescales f by 2^830 five times;
+    # check every row whose log f = log g + 2β(k mod 2) lies within 15 nats
+    # of a rescale level, on both sides of it
+    d, n, beta = 3, 3000, 8.0
+    got = gtable_values(d, n, beta)
+    level = 830 * math.log(2.0)
+    log_f = got[: n // 2 + 1] + 2.0 * beta * ((d * np.arange(n // 2 + 1)) & 1)
+    depth = np.rint(-log_f / level)
+    rows = np.flatnonzero((depth >= 1) & (np.abs(log_f + depth * level) <= 15.0))
+    assert set(depth[rows]) == {1, 2, 3, 4, 5}
+    _assert_rows_match_oracle(d, n, beta, got, rows.tolist())
+
+
+@pytest.mark.parametrize(
+    "d,n",
+    [(d, n) for d in range(1, 7) for n in (1, 2, 3, 7, 50, 101, 300, 998, 4000) if d * n % 2 == 0]
+    + [(3, 8000)],
+)
+def test_every_degree_matches_decimal_oracle(d, n):
+    # d = 1..6 and beta up to 8, where c² = e^{-32}: the first rows, the
+    # middle and the deepest row, under the same bound
+    for label in ("0", "0.2", "bc", "1.2", "3.0", "8.0"):
+        if label == "bc" and d < 3:
+            continue  # no finite critical point
+        beta = _beta(label, d)
+        got = gtable_values(d, n, beta)
+        rows = {min(1, n), n // 2, int(np.argmin(got))}
+        _assert_rows_match_oracle(d, n, beta, got, rows)
+
+
+def _assert_rows_match_oracle(d, n, beta, got, rows):
+    m = d * n
+    for j in sorted(rows):
+        k = min(d * j, m - d * j)
+        ref = decimal_log_g(k, m, beta)
+        bound = 8 * U * (k + max(1.0, abs(float(ref))))
+        assert abs(Decimal(float(got[j])) - ref) <= Decimal(bound), (j, float(ref))
 
 
 @pytest.mark.parametrize("label", BETAS)
@@ -213,20 +215,32 @@ def test_matches_lgamma_fsum_closed_form(d, n, label):
     assert np.max(np.abs(got - ref)) <= 5e-12
 
 
+@pytest.mark.parametrize("d,n", [(1, 2), (3, 8000), (4, 4000)])
+def test_the_free_table_is_exactly_zero(d, n):
+    # at beta = 0, c² = 1 and every recurrence step is (m-k)/(m-k) = 1 exactly
+    assert np.array_equal(gtable_values(d, n, 0.0), np.zeros(n + 1))
+
+
+def test_an_underflowing_c2_leaves_the_lowest_cross_count():
+    # at beta = 1e6, c² = e^{-4e6} is 0 in double: g_k = P(X = k mod 2) c^(k mod 2)
+    d, n, beta = 3, 50, 1e6
+    got = gtable_values(d, n, beta)
+    for j in range(n + 1):
+        k = d * j
+        x0 = k & 1
+        want = math.log(cross_count_law(k, d * n)[x0]) - 2.0 * beta * x0
+        assert abs(got[j] - want) <= 1e-12 * max(1.0, abs(want)), j
+
+
+@pytest.mark.parametrize("beta", [0.15, 0.55, 2.0])
 @pytest.mark.parametrize(
-    "d,n",
-    [(d, n) for d in range(1, 7) for n in (1, 2, 3, 7, 50, 101, 300, 998, 4000) if d * n % 2 == 0]
-    + [(3, 8000)],
+    "d,n", [(d, n) for d in range(1, 13) for n in range(1, 13) if d * n <= 12 and d * n % 2 == 0]
 )
-def test_fill_is_bitwise_the_gather_fill(d, n):
-    # every row, widened ones included, sums the same terms in the same order
-    # as the per-term gather, so the tables (and cache files) match bit for bit
-    lnfact = log_factorials(d * n)
-    labels = ("0.2",) if n == 8000 else ("0", "0.2", "bc", "1.2", "3.0", "8.0")
-    for label in labels:
-        if label == "bc" and d < 3:
-            continue  # no finite critical point
-        beta = _beta(label, d)
-        got, ref = np.empty(n // 2 + 1), np.empty(n // 2 + 1)
-        assert _fill_half(d, n, beta, lnfact, got) == gather_fill_half(d, n, beta, lnfact, ref)
-        assert np.array_equal(got, ref), (label, np.max(np.abs(got - ref)))
+def test_matches_enumerated_pairings(d, n, beta):
+    # g = Σ_x P(X=x) c^x with the law counted over every perfect matching
+    c = math.exp(-2.0 * beta)
+    got = np.exp(gtable_values(d, n, beta))
+    for j in range(n + 1):
+        law = _enumerated_law(d * j, d * n)
+        want = math.fsum(p * c**x for x, p in law.items())
+        assert got[j] == pytest.approx(want, rel=1e-14, abs=0.0), j
