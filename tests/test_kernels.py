@@ -51,6 +51,38 @@ def decimal_log_g(k, m, beta):
         return total.ln()
 
 
+def gather_fill(d, n, beta):
+    """The recurrence one k per step, then every row read on its own.
+
+    f_{k+1} = (w_k (m-2k) f_k + k f_{k-1}) / (m-k) with w_k = c² for odd k,
+    as in the kernels docstring, for k up to the smallest odd index >= m/2.
+    Each pair (f_k, f_{k+1}) with k even is multiplied by 2^830 when either
+    is below 2^-830, and every index keeps its own count of such shifts.
+    Row j = log f_dj minus its count times 830 ln 2, minus 2β when dj is odd.
+    The kernel's two steps per turn, its sorted shift list, strided gather
+    and odd-row slice must reproduce it bit for bit.
+    """
+    m = d * n
+    c2 = math.exp(-4.0 * beta)
+    f, depth = [1.0, 1.0], [0, 0]
+    for k in range(1, (m // 2) | 1):
+        w = c2 if k & 1 else 1.0
+        f.append((w * (m - 2 * k) * f[k] + k * f[k - 1]) / (m - k))
+        depth.append(depth[k])
+        if k & 1 == 0 and min(f[k], f[k + 1]) < 2.0**-830:
+            for i in (k, k + 1):
+                f[i] *= 2.0**830
+                depth[i] += 1
+    half = np.log(np.array([f[d * j] for j in range(n // 2 + 1)]))
+    for j in range(n // 2 + 1):
+        half[j] -= depth[d * j] * (830 * math.log(2.0))
+        if d * j & 1:
+            half[j] -= 2.0 * beta
+    out = np.concatenate([half, half[: (n + 1) // 2][::-1]])
+    out[0] = out[n] = 0.0
+    return np.minimum(out, 0.0)
+
+
 def closed_form_log_g(k, m, beta):
     """log E[exp(-2 beta X(k, m))] from the law of X, per term in lgamma, summed by fsum.
 
@@ -136,8 +168,12 @@ ORACLE_GRID = [
 
 
 @pytest.mark.parametrize("d,n,label", ORACLE_GRID)
-def test_matches_decimal_oracle(d, n, label):
+def test_windowed_matches_full_sum(d, n, label):
     """Each checked row within the fill's rounding bound of the 40-digit sum.
+
+    The full sum is `decimal_log_g` over the whole law of X. The grid is the
+    one the earlier windowed fill was held to, plus the sizes where its
+    windows had to widen (n = 1000 at β = 3, n = 8000).
 
     The bound 8u(k + max(1, |log g_k|)), u = 2^-53, k = min(dj, dn-dj), is
     the kernels docstring's count of roundings: <= 4u per recurrence step and
@@ -184,6 +220,24 @@ def test_every_degree_matches_decimal_oracle(d, n):
         got = gtable_values(d, n, beta)
         rows = {min(1, n), n // 2, int(np.argmin(got))}
         _assert_rows_match_oracle(d, n, beta, got, rows)
+
+
+@pytest.mark.parametrize(
+    "d,n",
+    [(d, n) for d in range(1, 7) for n in (1, 2, 3, 7, 50, 101, 300, 998, 4000) if d * n % 2 == 0]
+    + [(3, 8000)],
+)
+def test_fill_is_bitwise_the_gather_fill(d, n):
+    # every row, rescaled ones included (beta = 8 once dn >= 1800), takes the
+    # same floating-point steps as the per-step gather, so the tables (and
+    # cache files) match bit for bit
+    labels = ("0.2",) if n == 8000 else ("0", "0.2", "bc", "1.2", "3.0", "8.0")
+    for label in labels:
+        if label == "bc" and d < 3:
+            continue  # no finite critical point
+        beta = _beta(label, d)
+        got, ref = gtable_values(d, n, beta), gather_fill(d, n, beta)
+        assert np.array_equal(got, ref), (label, np.max(np.abs(got - ref)))
 
 
 def _assert_rows_match_oracle(d, n, beta, got, rows):
