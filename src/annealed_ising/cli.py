@@ -124,36 +124,48 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         out=args.out,
         fmt=args.format,
         seed=args.seed,
-        suite=getattr(args, "suite", None),
+        suite=args.suite,
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ValueError, so main prints it like any other."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    """Each subcommand takes only the flags it reads; any other is a usage error."""
+    p = _Parser(
         prog="annealed-ising",
         description="Annealed Ising model on random d-regular graphs: "
         "exact finite-size tables and thermodynamic-limit curves.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    g = sub.add_parser("gtable", help="emit the table log g(d j, d n), j = 0..n")
+    t = sub.add_parser("thermo", help="scan thermodynamic quantities over a parameter grid")
+    v = sub.add_parser("verify", help="run a verification suite, emit a JSON report")
+    v.add_argument("--suite", required=True, choices=SUITES)
+    for sp in (g, t, v):
+        # the flags a subcommand does not take read as unset
+        sp.set_defaults(
+            beta=None, beta_range=None, B=None, B_range=None, format="csv", seed=0, suite=None
+        )
         sp.add_argument("--d", type=int, default=3, help="graph degree (default 3)")
+    for sp in (g, t):
         sp.add_argument("--beta", type=float, help="inverse temperature")
         sp.add_argument("--beta-range", help="linear scan start:stop:steps")
-        sp.add_argument("--B", type=float, help="external field")
-        sp.add_argument("--B-range", help="linear scan start:stop:steps")
+    t.add_argument("--B", type=float, help="external field")
+    t.add_argument("--B-range", help="linear scan start:stop:steps")
+    for sp in (g, t, v):
         sp.add_argument("--n", type=int, help="number of vertices")
         sp.add_argument("--n-list", help="comma-separated vertex counts")
         sp.add_argument("--cache-dir", help="directory for weight-table caching")
         sp.add_argument("--out", help="output path (default: stdout)")
+    for sp in (g, t):
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed for sampling checks")
-
-    common(sub.add_parser("gtable", help="emit the table log g(d j, d n), j = 0..n"))
-    common(sub.add_parser("thermo", help="scan thermodynamic quantities over a parameter grid"))
-    v = sub.add_parser("verify", help="run a verification suite, emit a JSON report")
-    common(v)
-    v.add_argument("--suite", required=True, choices=SUITES)
+    v.add_argument("--seed", type=int, default=0, help="RNG seed for sampling checks")
     return p
 
 
@@ -243,17 +255,8 @@ def cmd_thermo(cfg: RunConfig) -> int:
 
         def work(n, b):
             table = finiten.build_table(cfg.d, n, b, cache_dir=cfg.cache_dir)
-            return [
-                (
-                    n,
-                    b,
-                    B,
-                    finiten.finite_pressure(table, B),
-                    finiten.finite_magnetization(table, B),
-                    finiten.finite_susceptibility(table, B),
-                )
-                for B in Bs
-            ]
+            laws = (finiten.spin_law(table, B) for B in Bs)
+            return [(n, b, law.B, law.psi, law.M, law.chi) for law in laws]
 
         rows = [row for n in cfg.ns for b in cfg.betas for row in work(n, b)]
     else:
@@ -268,7 +271,7 @@ def cmd_thermo(cfg: RunConfig) -> int:
                 print(f"warning: beta={b!r} B={B!r}: {exc}", file=sys.stderr)
                 nan = math.nan
                 return (b, B, nan, nan, nan, nan, nan)
-            return (b, B, tp.psi, tp.M, tp.chi, tp.C, tp.point.t_star)
+            return (b, B, tp.psi, tp.M, tp.chi, tp.C, tp.t_hat)
 
         rows = [work(b, B) for b in cfg.betas for B in Bs]
     _emit_rows(cfg, header, rows)
@@ -331,16 +334,14 @@ SUITES = tuple(_SUITES)
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
-        cfg = _build_config(args)
+        cfg = _build_config(_parser().parse_args(argv))
         if cfg.command == "gtable":
             return cmd_gtable(cfg)
         if cfg.command == "thermo":
             return cmd_thermo(cfg)
         return cmd_verify(cfg, cfg.suite)
+    except SystemExit as exc:  # --help
+        return int(exc.code) if exc.code else 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,14 +22,7 @@ import numpy as np
 
 from .finiten import build_table, mgf_scaled, spin_law
 from .quadrature import _nodes
-from .thermo import (
-    ModelParams,
-    _F_from_half,
-    critical_beta,
-    magnetization,
-    specific_heat,
-    susceptibility,
-)
+from .thermo import ModelParams, _F_from_half, critical_beta, thermo_point
 
 __all__ = [
     "ExponentFit",
@@ -256,7 +249,7 @@ def fit_exponent_beta(d: int) -> ExponentFit:
     """Spontaneous magnetization onset: M ~ A (beta - beta_c)^{1/2}."""
     bc = critical_beta(d)
     grid = np.geomspace(1e-7, 1e-3, 8)
-    vals = np.array([magnetization(ModelParams(d, bc + dl, 0.0)) for dl in grid])
+    vals = np.array([thermo_point(ModelParams(d, bc + dl, 0.0)).M for dl in grid])
     slope, r2 = _loglog_fit(grid, vals)
     amp = float(vals[0] / grid[0] ** 0.5)
     return ExponentFit(slope, amp, r2, tuple(grid), 0.5, d * math.sqrt(3.0 / (d - 1.0)))
@@ -266,7 +259,7 @@ def fit_exponent_delta(d: int) -> ExponentFit:
     """Critical isotherm: M(beta_c, B) ~ A B^{1/3}."""
     bc = critical_beta(d)
     grid = np.geomspace(1e-9, 1e-4, 8)
-    vals = np.array([magnetization(ModelParams(d, bc, B)) for B in grid])
+    vals = np.array([thermo_point(ModelParams(d, bc, B)).M for B in grid])
     slope, r2 = _loglog_fit(grid, vals)
     amp = float(vals[0] / grid[0] ** (1.0 / 3.0))
     target_amp = 2.0 * (3.0 * d * d / (8.0 * (d - 1.0) * (d - 2.0))) ** (1.0 / 3.0)
@@ -280,7 +273,7 @@ def fit_exponent_gamma(d: int, side: str) -> ExponentFit:
     bc = critical_beta(d)
     grid = np.geomspace(1e-7, 1e-3, 8)
     sign = -1.0 if side == "below" else 1.0
-    vals = np.array([susceptibility(ModelParams(d, bc + sign * dl, 0.0)) for dl in grid])
+    vals = np.array([thermo_point(ModelParams(d, bc + sign * dl, 0.0)).chi for dl in grid])
     slope, r2 = _loglog_fit(grid, vals)
     amp = float(vals[0] * grid[0])
     if side == "below":
@@ -290,15 +283,9 @@ def fit_exponent_gamma(d: int, side: str) -> ExponentFit:
     return ExponentFit(slope, amp, r2, tuple(grid), -1.0, target_amp)
 
 
-def exponent_report(
-    check: str,
-    d: int,
-    fit: ExponentFit,
-    slope_tol: float = 0.02,
-    amp_rel_tol: float = 0.05,
-    r2_min: float = 0.9999,
-) -> dict:
+def exponent_report(check: str, d: int, fit: ExponentFit) -> dict:
     """Wrap a fit as a report, keeping slope and amplitude verdicts separate."""
+    slope_tol, amp_rel_tol, r2_min = 0.02, 0.05, 0.9999
     slope_ok = abs(fit.exponent_estimate - fit.target_exponent) <= slope_tol and fit.r_squared >= r2_min
     amp_ok = True
     if fit.target_amplitude is not None:
@@ -342,8 +329,8 @@ def specific_heat_jump(d: int) -> dict:
     """
     bc = critical_beta(d)
     deltas = (1e-3, 1e-4, 1e-5)
-    below = [specific_heat(ModelParams(d, bc - dl, 0.0)) for dl in deltas]
-    above = [specific_heat(ModelParams(d, bc + dl, 0.0)) for dl in deltas]
+    below = [thermo_point(ModelParams(d, bc - dl, 0.0)).C for dl in deltas]
+    above = [thermo_point(ModelParams(d, bc + dl, 0.0)).C for dl in deltas]
 
     d1, d2 = deltas[1], deltas[2]
 
@@ -417,7 +404,6 @@ def scaling_limit_check(
     d: int,
     n_list: tuple[int, ...] = (500, 1000, 2000, 4000),
     cache_dir: str | None = None,
-    rs: tuple[float, ...] = (0.5, 1.0, 2.0),
 ) -> dict:
     """Convergence of the rescaled spin law toward the quartic limit.
 
@@ -429,6 +415,7 @@ def scaling_limit_check(
     n_list = tuple(sorted(n_list))
     if len(n_list) < 2 or len(set(n_list)) != len(n_list):
         raise ValueError(f"n_list={n_list}: need at least two distinct sizes")
+    rs = (0.5, 1.0, 2.0)
     limit = scaling_limit(d)
     bc = critical_beta(d)
     m2s, m4s, kss = [], [], []

@@ -7,7 +7,10 @@ The annealed partition function factors over the number j of up spins:
 so every finite-n quantity reduces to the log-weight table
 log x_j = log C(n, j) + log g(d j, d n). The external field enters only at
 query time as a tilt 2 B j, which keeps one table reusable across a field
-scan. The checks of the `finiten` verify suite sit at the end.
+scan. `spin_law(table, B)` is the one evaluation at a field: it tilts and
+normalises the weights once and carries the law of S = 2j - n together with
+psi_n = beta d/2 - B + (1/n) log sum_j x_j e^{2Bj}, M_n = E[S]/n and
+chi_n = Var(S)/n. The checks of the `finiten` verify suite sit at the end.
 """
 
 from __future__ import annotations
@@ -18,19 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import log_factorials
-from .matching import LogG, log_g_table
-from .thermo import ModelParams, critical_beta, pressure
+from .matching import log_g_table
+from .thermo import ModelParams, critical_beta, thermo_point
 
 __all__ = [
     "LogWeightTable",
     "SpinLaw",
     "TruncationReport",
     "build_table",
-    "finite_pressure",
     "finite_pressure_increment",
     "spin_law",
-    "finite_magnetization",
-    "finite_susceptibility",
     "mgf_scaled",
     "truncation_check",
     "write_spinlaw_csv",
@@ -55,7 +55,6 @@ class LogWeightTable:
     d: int
     beta: float
     log_x: np.ndarray
-    j_star: int
 
     def __post_init__(self):
         if len(self.log_x) != self.n + 1:
@@ -64,17 +63,21 @@ class LogWeightTable:
 
 @dataclass(frozen=True)
 class SpinLaw:
-    """Distribution of the up-spin count j under the annealed measure."""
+    """Law of the up-spin count j under the annealed measure at field B.
+
+    psi, M and chi are the finite-n pressure, magnetization E[S]/n and
+    susceptibility Var(S)/n of that law.
+    """
 
     n: int
     d: int
     beta: float
     B: float
     log_mass: np.ndarray  # normalized: LSE(log_mass) = 0
-
-    @property
-    def masses(self) -> np.ndarray:
-        return np.exp(self.log_mass)
+    masses: np.ndarray  # exp(log_mass)
+    psi: float
+    M: float
+    chi: float
 
     def moment(self, k: int) -> float:
         """E[S^k] with S = 2j - n the total spin."""
@@ -87,7 +90,6 @@ class TruncationReport:
     """How much of the spin law survives outside a central window at beta_c."""
 
     n: int
-    window_exponent: float
     window_halfwidth: float
     tail_mass: float
     tail_bound: float
@@ -102,44 +104,14 @@ def _lse(v: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(v - m))))
 
 
-def build_table(
-    d: int,
-    n: int,
-    beta: float,
-    gtable: LogG | None = None,
-    cache_dir: str | None = None,
-) -> LogWeightTable:
-    """Assemble log x_j = log C(n, j) + log g(d j, d n).
-
-    A pre-built g-table may be passed in; it must describe exactly the same
-    (d, n, beta) or the combination is rejected.
-    """
-    if gtable is None:
-        gtable = log_g_table(d, n, beta, cache_dir=cache_dir)
-    elif (gtable.d, gtable.n) != (d, n) or gtable.beta != beta:
-        raise ValueError(
-            f"g-table built for (d={gtable.d}, n={gtable.n}, beta={gtable.beta!r}), "
-            f"requested (d={d}, n={n}, beta={beta!r})"
-        )
+def build_table(d: int, n: int, beta: float, cache_dir: str | None = None) -> LogWeightTable:
+    """Assemble log x_j = log C(n, j) + log g(d j, d n)."""
+    gtable = log_g_table(d, n, beta, cache_dir=cache_dir)
     lf = log_factorials(n)
     lbinom = lf[n] - (lf + lf[::-1])
     log_x = lbinom + np.asarray(gtable.values, dtype=np.float64)
     log_x.setflags(write=False)
-    return LogWeightTable(n=n, d=d, beta=beta, log_x=log_x, j_star=n // 2)
-
-
-def _tilted(table: LogWeightTable, B: float) -> np.ndarray:
-    if not math.isfinite(B):
-        raise ValueError(f"B={B}: need a finite field")
-    if B == 0.0:
-        return table.log_x
-    j = np.arange(table.n + 1, dtype=np.float64)
-    return table.log_x + 2.0 * B * j
-
-
-def finite_pressure(table: LogWeightTable, B: float = 0.0) -> float:
-    """psi_n(beta, B) = beta d/2 - B + (1/n) log sum_j x_j e^{2Bj}."""
-    return table.beta * table.d / 2.0 - B + _lse(_tilted(table, B)) / table.n
+    return LogWeightTable(n=n, d=d, beta=beta, log_x=log_x)
 
 
 def finite_pressure_increment(table: LogWeightTable, B: float, dB: float) -> float:
@@ -149,39 +121,45 @@ def finite_pressure_increment(table: LogWeightTable, B: float, dB: float) -> flo
     pressures share every digit for small dB, so subtracting the evaluated
     values would lose ~5 digits that this form keeps.
     """
-    w = _tilted(table, B)
+    if not math.isfinite(B):
+        raise ValueError(f"B={B}: need a finite field")
+    j = np.arange(table.n + 1, dtype=np.float64)
+    w = table.log_x + 2.0 * B * j
     m = float(np.max(w))
     p = np.exp(w - m)
     p /= np.sum(p)
-    j = np.arange(table.n + 1, dtype=np.float64)
     return math.log(float(np.sum(p * np.exp(2.0 * dB * j)))) / table.n - dB
 
 
 def spin_law(table: LogWeightTable, B: float = 0.0) -> SpinLaw:
-    """Normalized law of the up-spin count at field B."""
-    w = _tilted(table, B)
-    log_mass = w - _lse(w)
-    log_mass.setflags(write=False)
-    return SpinLaw(n=table.n, d=table.d, beta=table.beta, B=B, log_mass=log_mass)
+    """Normalized law of the up-spin count at field B, with psi_n, M_n and chi_n.
 
-
-def finite_magnetization(table: LogWeightTable, B: float = 0.0) -> float:
-    """M_n = E[S]/n = d psi_n / d B."""
-    return spin_law(table, B).moment(1) / table.n
-
-
-def finite_susceptibility(table: LogWeightTable, B: float = 0.0) -> float:
-    """chi_n = Var(S)/n = d^2 psi_n / d B^2.
-
-    The variance is the centred second moment under masses renormalized by
-    their own sum: E[S^2] - E[S]^2 would cancel ~n-fold in the ordered phase
-    and amplify the ~1e-12 normalization error of the log-masses with it.
+    One log-sum-exp z of the tilted weights w gives psi_n = beta d/2 - B +
+    z/n and the log-masses w - z; one exp gives the masses. M_n = E[S]/n =
+    dpsi_n/dB sums them against S. chi_n = Var(S)/n = d^2 psi_n/dB^2 is the
+    centred second moment under the masses renormalized by their own sum:
+    E[S^2] - E[S]^2 would cancel ~n-fold in the ordered phase and amplify the
+    ~1e-12 normalization error of the log-masses with it.
     """
-    p = spin_law(table, B).masses
-    p /= np.sum(p)
-    s = 2.0 * np.arange(table.n + 1, dtype=np.float64) - table.n
+    if not math.isfinite(B):
+        raise ValueError(f"B={B}: need a finite field")
+    n = table.n
+    j = np.arange(n + 1, dtype=np.float64)
+    w = table.log_x + 2.0 * B * j
+    z = _lse(w)
+    log_mass = w - z
+    masses = np.exp(log_mass)
+    s = 2.0 * j - n
+    M = float(np.sum(masses * s)) / n
+    p = masses / np.sum(masses)
     s -= np.sum(p * s)
-    return float(np.sum(p * s * s)) / table.n
+    chi = float(np.sum(p * s * s)) / n
+    log_mass.setflags(write=False)
+    masses.setflags(write=False)
+    psi = table.beta * table.d / 2.0 - B + z / n
+    return SpinLaw(
+        n=n, d=table.d, beta=table.beta, B=B, log_mass=log_mass, masses=masses, psi=psi, M=M, chi=chi
+    )
 
 
 def mgf_scaled(table: LogWeightTable, r: float) -> float:
@@ -198,14 +176,12 @@ def mgf_scaled(table: LogWeightTable, r: float) -> float:
     return math.exp(_lse(table.log_x + shift) - _lse(table.log_x))
 
 
-def truncation_check(
-    table: LogWeightTable, window_exponent: float = 5.0 / 6.0, r: float = 1.0
-) -> TruncationReport:
-    """Mass and transform error outside the window |j - j*| <= n^window_exponent.
+def truncation_check(table: LogWeightTable) -> TruncationReport:
+    """Mass and mgf error at r = 1 outside the window |j - n/2| <= n^{5/6}.
 
     Only meaningful at the critical point, where the law's width is n^{3/4};
-    requires the table's beta to be exactly critical_beta(d). The default
-    window edge is |S|/n^{3/4} = 2 n^{1/12}, beyond which the quartic limit
+    requires the table's beta to be exactly critical_beta(d). The window
+    edge is |S|/n^{3/4} = 2 n^{1/12}, beyond which the quartic limit
     law's tail decays like exp(-16 a n^{1/3}), a = (d-1)(d-2)/(12 d^2).
 
     tail_bound = n^{-4} and the 1e-8 mgf gap behind `passed` are asymptotic
@@ -219,23 +195,22 @@ def truncation_check(
             f"truncation bounds hold at beta_c={critical_beta(table.d)!r} only, "
             f"table has beta={table.beta!r}"
         )
-    full = mgf_scaled(table, r)  # rejects a tilt that is not finite with |r| <= 10
+    full = mgf_scaled(table, 1.0)
     n = table.n
-    w = n**window_exponent
+    w = n ** (5.0 / 6.0)
     j = np.arange(n + 1, dtype=np.float64)
-    inside = np.abs(j - table.j_star) <= w
+    inside = np.abs(j - n // 2) <= w
     law = spin_law(table, 0.0)
     tail = float(np.sum(law.masses[~inside]))
 
     s = 2.0 * j - n
-    shift = r * s / n**0.75
+    shift = s / n**0.75
     windowed = math.exp(_lse(table.log_x[inside] + shift[inside]) - _lse(table.log_x[inside]))
     gap = abs(full - windowed)
 
     bound = float(n) ** -4.0
     return TruncationReport(
         n=n,
-        window_exponent=window_exponent,
         window_halfwidth=w,
         tail_mass=tail,
         tail_bound=bound,
@@ -286,10 +261,11 @@ def free_spin_closed_forms(table: LogWeightTable) -> dict:
     All three are exact up to table rounding, so the tolerance is 1e-12.
     """
     B0, tol = 0.7, 1e-12
+    law = spin_law(table, B0)
     gaps = {
-        "psi_gap": abs(finite_pressure(table, B0) - math.log(2.0 * math.cosh(B0))),
-        "M_gap": abs(finite_magnetization(table, B0) - math.tanh(B0)),
-        "chi_gap": abs(finite_susceptibility(table, 0.0) - 1.0),
+        "psi_gap": abs(law.psi - math.log(2.0 * math.cosh(B0))),
+        "M_gap": abs(law.M - math.tanh(B0)),
+        "chi_gap": abs(spin_law(table, 0.0).chi - 1.0),
     }
     return {
         "check": "free_spin_closed_forms",
@@ -305,8 +281,8 @@ def free_spin_closed_forms(table: LogWeightTable) -> dict:
 def pressure_gap_shrinks(tables: list[LogWeightTable]) -> dict:
     """|psi_n - psi| at B = 0.1 must fall strictly from each table to the next."""
     d = tables[0].d
-    psi_inf = pressure(ModelParams(d, tables[0].beta, _B_GAP))
-    gaps = [abs(finite_pressure(t, _B_GAP) - psi_inf) for t in tables]
+    psi_inf = thermo_point(ModelParams(d, tables[0].beta, _B_GAP)).psi
+    gaps = [abs(spin_law(t, _B_GAP).psi - psi_inf) for t in tables]
     return {
         "check": "pressure_gap_shrinks",
         "d": d,
@@ -323,9 +299,10 @@ def derivative_consistency(table: LogWeightTable) -> dict:
     h, tol = 1e-5, 1e-6
     dp = finite_pressure_increment(table, _B_GAP, h)
     dm = finite_pressure_increment(table, _B_GAP, -h)
+    law = spin_law(table, _B_GAP)
     gaps = {
-        "M_fd_gap": abs((dp - dm) / (2.0 * h) - finite_magnetization(table, _B_GAP)),
-        "chi_fd_gap": abs((dp + dm) / (h * h) - finite_susceptibility(table, _B_GAP)),
+        "M_fd_gap": abs((dp - dm) / (2.0 * h) - law.M),
+        "chi_fd_gap": abs((dp + dm) / (h * h) - law.chi),
     }
     return {
         "check": "derivative_consistency",

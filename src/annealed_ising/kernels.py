@@ -77,13 +77,22 @@ def log_factorials(m: int) -> np.ndarray:
     return have[: m + 1]
 
 
+def _check_table_args(d: int, n: int, beta: float) -> None:
+    """Reject a (d, n, beta) that names no table: dn half-edges need a perfect matching."""
+    if d < 1 or n < 1:
+        raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
+    if (d * n) % 2:
+        raise ValueError(f"d*n = {d * n} odd: a perfect matching needs an even half-edge count")
+    if not math.isfinite(beta) or beta < 0:
+        raise ValueError(f"beta={beta}: need a finite beta >= 0")
+
+
 def gtable_values(d: int, n: int, beta: float) -> np.ndarray:
     """Full table values[j] = log g_beta(dj, dn), j = 0..n.
 
     Only j <= n/2 is computed; the rest is the k <-> m-k mirror.
     """
-    if not math.isfinite(beta) or beta < 0:
-        raise ValueError(f"beta={beta}: need a finite beta >= 0")
+    _check_table_args(d, n, beta)
     m = d * n
     c2 = math.exp(-4.0 * float(beta))
     # f_0..f_{m/2}, two steps (odd k, then even k + 1) per turn; the floats

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import gtable_values
+from .kernels import _check_table_args, gtable_values
 
 __all__ = [
     "LogG",
@@ -169,12 +169,7 @@ def log_g_table(
     environment variable; with neither set, nothing touches the filesystem.
     Callers sharing a cache directory across processes must serialize access.
     """
-    if d < 1 or n < 1:
-        raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
-    if (d * n) % 2:
-        raise ValueError(f"d*n = {d * n} odd: a perfect matching needs an even half-edge count")
-    if not math.isfinite(beta) or beta < 0:
-        raise ValueError(f"beta={beta}: need a finite beta >= 0")
+    _check_table_args(d, n, beta)
     beta = float(beta)
     path = cache_path(cache_dir, d, n, beta)
     if path is not None and path.exists():

@@ -14,6 +14,9 @@ and x = theta tanh h,
 
 chi = dM/dB and C = d^2 psi/dbeta^2 follow by implicit differentiation of
 the fixed-point equation: one Newton solve gives all four, with no quadrature.
+`thermo_point` is that solve and the one way to evaluate the limit: it
+returns psi, M, chi, C, the maximizer t_hat and the fixed-point residual
+together.
 
 The same pressure is the variational form
 
@@ -42,23 +45,14 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "CriticalPoint",
     "ThermoPoint",
     "RootBracketError",
-    "NoNontrivialRootError",
-    "UndefinedAtCriticalityError",
     "f_beta",
     "F_beta",
     "H_beta",
     "dH_beta",
     "d2H_beta",
     "critical_beta",
-    "find_t_star",
-    "find_t_plus",
-    "pressure",
-    "magnetization",
-    "susceptibility",
-    "specific_heat",
     "thermo_point",
 ]
 
@@ -71,14 +65,6 @@ T_GUARD = 1e-14
 
 class RootBracketError(RuntimeError):
     """No (or more than one) sign change where a unique root was required."""
-
-
-class NoNontrivialRootError(RuntimeError):
-    """dH has no root in (1/2, 1): beta is at or below the critical point."""
-
-
-class UndefinedAtCriticalityError(ArithmeticError):
-    """One-sided limits disagree exactly at (beta_c, B=0)."""
 
 
 @dataclass(frozen=True)
@@ -103,28 +89,23 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class CriticalPoint:
-    """A stationary point of L(t) = H(t) + 2Bt on (0, 1).
-
-    kind: 'field' for dH + 2B = 0 with B > 0, 'spontaneous' for dH = 0 with
-    beta > beta_c, 'trivial' for t = 1/2. t_star = (1 + M)/2. residual is the
-    fixed-point residual |h - B - (d-1) atanh(theta tanh h)| at the returned h.
-    """
-
-    t_star: float
-    kind: str
-    residual: float
-
-
-@dataclass(frozen=True)
 class ThermoPoint:
-    """Limit pressure, magnetization, susceptibility, specific heat at one (d, beta, B)."""
+    """The limit at one (d, beta, B); B = 0 means the 0+ limit.
+
+    psi is the pressure, M = dpsi/dB the magnetization, chi = dM/dB the
+    susceptibility and C = d^2 psi/dbeta^2 the specific heat. t_hat =
+    (1 + M)/2 maximizes L(t) = H(t) + 2Bt; it is exactly 1/2 on the trivial
+    branch (B = 0, beta <= beta_c). residual is |h - B - (d-1) atanh(theta
+    tanh h)| at the returned h. Exactly at (beta_c, 0) chi is inf and C is
+    nan: chi diverges there, and the two one-sided limits of C differ.
+    """
 
     psi: float
     M: float
     chi: float
     C: float
-    point: CriticalPoint
+    t_hat: float
+    residual: float
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +231,10 @@ def _tanh_pair(z: float) -> tuple[float, float]:
     return -math.expm1(-2.0 * z) / (1.0 + e), 2.0 * e / (1.0 + e)
 
 
-def _bethe(params: ModelParams, kind: str) -> ThermoPoint:
+def thermo_point(params: ModelParams) -> ThermoPoint:
     """psi, M, chi and C at the fixed point of h = B + (d-1) atanh(theta tanh h).
 
-    kind 'trivial' takes h = 0 (B = 0 at or below beta_c). Otherwise Newton
+    The trivial branch, B = 0 at or below beta_c, takes h = 0. Otherwise Newton
     starts from h = B + (d-1) beta, where g(h) = h - B - (d-1) atanh(theta
     tanh h) is positive because the atanh term stays below beta. g is convex
     on h > 0 (the slope theta / (1 + (1-theta^2) sinh^2 h) of the atanh term
@@ -268,11 +249,12 @@ def _bethe(params: ModelParams, kind: str) -> ThermoPoint:
     deep in the ordered phase every output keeps its relative precision.
     """
     d, beta, B = params.d, params.beta, params.B
+    bc = critical_beta(d)
     th, om_th = _tanh_pair(beta)
     if om_th == 0.0:
         raise RootBracketError(f"tanh(beta) rounds to 1 at beta={beta}: no finite fixed point")
     lo, hi = B, B + (d - 1) * beta  # g(lo) <= 0 < g(hi)
-    h = 0.0 if kind == "trivial" else hi
+    h = 0.0 if B == 0.0 and beta <= bc else hi
     for _ in range(100):
         y, om_y = _tanh_pair(h)
         x, om_x, om_y2 = th * y, om_th + th * om_y, om_y * (1.0 + y)
@@ -303,84 +285,13 @@ def _bethe(params: ModelParams, kind: str) -> ThermoPoint:
         raise RootBracketError(
             f"t_hat={t_hat!r} lies within {T_GUARD} of t = 1 for d={d}, beta={beta}, B={B}"
         )
-    point = CriticalPoint(t_hat, kind, abs(g))
     om_th2 = om_th * (1.0 + th)  # 1 - theta^2 = 1 / cosh^2(beta)
     psi = B + d * math.log1p(x) + math.log1p(q) - 0.25 * d * math.log(om_th2)
     psi -= 0.5 * d * math.log1p(x * y)
     M = 2.0 * t_hat - 1.0
-    if _at_criticality(params):
-        return ThermoPoint(psi, M, math.inf, math.nan, point)
+    if B == 0.0 and beta == bc:
+        return ThermoPoint(psi, M, math.inf, math.nan, t_hat, abs(g))
     chi = 4.0 * q / (1.0 + q) ** 2 * (1.0 + th) * (om_th + th * om_y2) / den
     dh_dbeta = (d - 1) * om_th2 * y / den
     C = 0.5 * d * om_th2 * om_y2 / (1.0 + x * y) ** 2 * (1.0 + y * y + 2.0 * y * dh_dbeta)
-    return ThermoPoint(psi, M, chi, C, point)
-
-
-def find_t_star(params: ModelParams) -> CriticalPoint:
-    """Unique maximizer of L = H + 2Bt on (1/2, 1) for B > 0: root of dH + 2B.
-
-    t_star is (1 + M)/2 at the Bethe fixed point; nothing in t is solved.
-    """
-    if params.B <= 0:
-        raise ValueError(f"B={params.B}: find_t_star needs B > 0")
-    return _bethe(params, "field").point
-
-
-def find_t_plus(params: ModelParams) -> CriticalPoint:
-    """Nontrivial root t_+ of dH on (1/2, 1) for B = 0, beta > beta_c.
-
-    t_star is (1 + M)/2 at the positive Bethe fixed point.
-    """
-    d, beta = params.d, params.beta
-    if d < 3:
-        raise ValueError(f"d={d}: no finite critical point below d=3")
-    bc = critical_beta(d)
-    if beta <= bc:
-        raise NoNontrivialRootError(f"beta={beta} <= beta_c={bc:.12g}: only the trivial root 1/2")
-    return _bethe(ModelParams(d, beta, 0.0), "spontaneous").point
-
-
-# ---------------------------------------------------------------------------
-# limit quantities
-
-
-def pressure(params: ModelParams) -> float:
-    """psi(beta, B) = beta d/2 - B + L(t_hat)."""
-    return thermo_point(params).psi
-
-
-def magnetization(params: ModelParams) -> float:
-    """M = 2 t_hat - 1; at B = 0 this is the spontaneous (0+) value."""
-    return thermo_point(params).M
-
-
-def susceptibility(params: ModelParams) -> float:
-    """chi = dM/dB > 0 on the uniqueness region; +inf at (beta_c, 0)."""
-    return thermo_point(params).chi
-
-
-def specific_heat(params: ModelParams) -> float:
-    """C = d^2 psi/d beta^2. Exactly at (beta_c, 0) the two one-sided limits
-    differ and no value is returned."""
-    if _at_criticality(params):
-        raise UndefinedAtCriticalityError(
-            f"specific heat has unequal one-sided limits at beta_c={params.beta!r}, B=0"
-        )
-    return thermo_point(params).C
-
-
-def thermo_point(params: ModelParams) -> ThermoPoint:
-    """Assemble psi, M, chi, C at one parameter point (B = 0 means the 0+ limit).
-
-    At exactly (beta_c, 0) chi is reported infinite and C as nan rather than
-    raising; scans are expected to straddle the critical point.
-    """
-    if params.B > 0:
-        return _bethe(params, "field")
-    if params.d >= 3 and params.beta > critical_beta(params.d):
-        return _bethe(params, "spontaneous")
-    return _bethe(params, "trivial")
-
-
-def _at_criticality(params: ModelParams) -> bool:
-    return params.B == 0.0 and params.d >= 3 and params.beta == critical_beta(params.d)
+    return ThermoPoint(psi, M, chi, C, t_hat, abs(g))

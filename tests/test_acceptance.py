@@ -22,19 +22,17 @@ from annealed_ising import (
     build_table,
     critical_beta,
     cross_count_law,
-    finite_magnetization,
-    finite_pressure,
     finite_pressure_increment,
-    finite_susceptibility,
     fit_exponent_beta,
     fit_exponent_delta,
     fit_exponent_gamma,
     mgf_scaled,
-    pressure,
     scaling_limit,
     scaling_limit_check,
     specific_heat_jump,
+    spin_law,
     taylor_check,
+    thermo_point,
     truncation_check,
     ModelParams,
 )
@@ -326,14 +324,15 @@ def test_c6_derivatives_match_differences(get_table):
     B, h = 0.1, 1e-5
     up = finite_pressure_increment(t, B, h)
     dn = finite_pressure_increment(t, B, -h)
-    assert abs(finite_magnetization(t, B) - (up - dn) / (2.0 * h)) <= 1e-6
-    assert abs(finite_susceptibility(t, B) - (up + dn) / (h * h)) <= 1e-6
+    law = spin_law(t, B)
+    assert abs(law.M - (up - dn) / (2.0 * h)) <= 1e-6
+    assert abs(law.chi - (up + dn) / (h * h)) <= 1e-6
 
 
 def test_c6_pressure_gap_shrinks(get_table):
     """|psi_n - psi| decreases across n in {250, 500, 1000} at (0.4, 0.1)."""
-    limit = pressure(ModelParams(3, 0.4, 0.1))
-    gaps = [abs(finite_pressure(get_table(3, n, 0.4), 0.1) - limit) for n in (250, 500, 1000)]
+    limit = thermo_point(ModelParams(3, 0.4, 0.1)).psi
+    gaps = [abs(spin_law(get_table(3, n, 0.4), 0.1).psi - limit) for n in (250, 500, 1000)]
     assert gaps[0] > gaps[1] > gaps[2] > 0.0
 
 
@@ -342,8 +341,8 @@ def test_c6_free_spin_closed_forms():
     t0 = time.monotonic()
     t = build_table(3, 250, 0.0)
     for B in (0.0, 0.7):
-        assert abs(finite_pressure(t, B) - math.log(2.0 * math.cosh(B))) <= 1e-12
-    assert abs(finite_susceptibility(t, 0.0) - 1.0) <= 1e-12
+        assert abs(spin_law(t, B).psi - math.log(2.0 * math.cosh(B))) <= 1e-12
+    assert abs(spin_law(t, 0.0).chi - 1.0) <= 1e-12
     assert time.monotonic() - t0 < 60.0
 
 

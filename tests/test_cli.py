@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from annealed_ising import ModelParams, build_table, critical_beta, finite_pressure, thermo_point
+from annealed_ising import ModelParams, build_table, critical_beta, spin_law, thermo_point
 from annealed_ising.cli import main
 from annealed_ising.matching import cache_path
 from test_thermo import _golden_section_pressure
@@ -96,7 +96,7 @@ def test_thermo_limit_rows_are_thermo_point_in_grid_order(tmp_path):
     for b in np.linspace(0.1, 1.6, 7):
         for B in np.linspace(0.0, 0.4, 3):
             tp = thermo_point(ModelParams(3, float(b), float(B)))
-            row = (b, B, tp.psi, tp.M, tp.chi, tp.C, tp.point.t_star)
+            row = (b, B, tp.psi, tp.M, tp.chi, tp.C, tp.t_hat)
             expected.append(",".join(repr(float(v)) for v in row))
     assert out.read_text().splitlines() == expected
 
@@ -146,7 +146,7 @@ def test_thermo_finite_mode_matches_library(tmp_path, cache_dir):
     assert header == ["n", "beta", "B", "psi_n", "M_n", "chi_n"]
     assert [r["n"] for r in rows] == ["100", "200"]
     t = build_table(3, 100, 0.4, cache_dir=cache_dir)
-    assert float(rows[0]["psi_n"]) == finite_pressure(t, 0.1)  # 17-digit round trip
+    assert float(rows[0]["psi_n"]) == spin_law(t, 0.1).psi  # 17-digit round trip
 
 
 def test_thermo_json_output(tmp_path):
@@ -175,6 +175,23 @@ def test_flag_conflicts_are_usage_errors():
     assert main(["thermo", "--d", "3", "--beta-range", "0.2:0.1"]) == 2  # malformed range
     assert main(["thermo", "--d", "0", "--beta", "0.3"]) == 2
     assert main(["thermo", "--d", "3", "--beta", "0.3", "--threads", "2"]) == 2  # no such flag
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "taylor", "--d", "3", "--format", "csv"],  # the report is JSON
+        ["verify", "--suite", "taylor", "--d", "3", "--beta", "0.3"],
+        ["gtable", "--d", "3", "--n", "10", "--beta", "0.5", "--B", "0.3"],
+        ["gtable", "--d", "3", "--n", "10", "--beta", "0.5", "--seed", "4"],
+        ["thermo", "--d", "3", "--beta", "0.3", "--seed", "4"],
+    ],
+)
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unrecognized arguments: ")
 
 
 @pytest.mark.parametrize(

@@ -12,14 +12,10 @@ from annealed_ising import (
     build_table,
     critical_beta,
     finite_size_checks,
-    finite_magnetization,
-    finite_pressure,
     finite_pressure_increment,
-    finite_susceptibility,
     mgf_scaled,
-    pressure,
     spin_law,
-    susceptibility,
+    thermo_point,
     truncation_check,
     write_spinlaw_csv,
 )
@@ -31,7 +27,7 @@ BC3 = critical_beta(3)
 
 def test_table_assembly_and_immutability(get_table):
     t = get_table(3, 100, 0.4)
-    assert t.n == 100 and t.d == 3 and t.j_star == 50
+    assert t.n == 100 and t.d == 3
     assert t.log_x.shape == (101,)
     with pytest.raises(ValueError):
         t.log_x[0] = 1.0  # the buffer is frozen
@@ -42,7 +38,7 @@ def test_binomial_part_is_exact():
     # an exact big-integer oracle for it
     n = 60
     gt = log_g_table(3, n, 0.55)
-    t = build_table(3, n, 0.55, gtable=gt)
+    t = build_table(3, n, 0.55)
     for j in range(n + 1):
         lb = t.log_x[j] - gt.values[j]
         assert lb == pytest.approx(math.log(math.comb(n, j)), abs=1e-11), j
@@ -55,27 +51,17 @@ def test_binomial_part_is_bitwise_the_lgamma_expression():
     gt = log_g_table(3, n, 0.4)
     lc = math.lgamma(n + 1.0)
     lbinom = lc - np.array([math.lgamma(i + 1.0) + math.lgamma(n - i + 1.0) for i in range(n + 1)])
-    assert np.array_equal(build_table(3, n, 0.4, gtable=gt).log_x, lbinom + gt.values)
-
-
-def test_prebuilt_gtable_must_match():
-    gt = log_g_table(3, 10, 0.3)
-    assert np.array_equal(build_table(3, 10, 0.3, gtable=gt).log_x, build_table(3, 10, 0.3).log_x)
-    with pytest.raises(ValueError):
-        build_table(3, 12, 0.3, gtable=gt)
-    with pytest.raises(ValueError):
-        build_table(3, 10, 0.31, gtable=gt)
+    assert np.array_equal(build_table(3, n, 0.4).log_x, lbinom + gt.values)
 
 
 def test_free_spins_have_closed_forms():
     t = build_table(3, 200, 0.0)
     for B in (0.0, 0.7, 1.5):
-        assert finite_pressure(t, B) == pytest.approx(math.log(2.0 * math.cosh(B)), abs=1e-12)
-        assert finite_magnetization(t, B) == pytest.approx(math.tanh(B), abs=1e-12)
-        assert finite_susceptibility(t, B) == pytest.approx(
-            1.0 - math.tanh(B) ** 2, abs=1e-10
-        )
-    assert finite_susceptibility(t, 0.0) == pytest.approx(1.0, abs=1e-12)
+        law = spin_law(t, B)
+        assert law.psi == pytest.approx(math.log(2.0 * math.cosh(B)), abs=1e-12)
+        assert law.M == pytest.approx(math.tanh(B), abs=1e-12)
+        assert law.chi == pytest.approx(1.0 - math.tanh(B) ** 2, abs=1e-10)
+    assert spin_law(t, 0.0).chi == pytest.approx(1.0, abs=1e-12)
 
 
 def _fsum_susceptibility(table, B):
@@ -94,7 +80,7 @@ def test_ordered_phase_susceptibility_matches_fsum(get_table, B):
     # the mean is above 0.9 n here, so E[S^2] - E[S]^2 loses ~4 digits (2-4e-10 relative)
     t = get_table(3, 2000, 0.7)
     ref = _fsum_susceptibility(t, B)
-    assert finite_susceptibility(t, B) == pytest.approx(ref, rel=1e-10, abs=0.0)
+    assert spin_law(t, B).chi == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 def test_spin_law_is_symmetric_and_centered(get_table):
@@ -104,21 +90,22 @@ def test_spin_law_is_symmetric_and_centered(get_table):
     assert np.array_equal(law.masses, law.masses[::-1])
     assert abs(law.moment(1)) <= 1e-12
     assert law.moment(2) > 0.0
-    with pytest.raises(ValueError):
-        law.log_mass[0] = 0.5  # the stored buffer is frozen (masses is a copy)
+    for stored in (law.log_mass, law.masses):
+        with pytest.raises(ValueError):
+            stored[0] = 0.5  # the stored buffers are frozen
 
 
 def test_tilted_law_mean_matches_magnetization(get_table):
     t = get_table(3, 100, 0.45)
     law = spin_law(t, B=0.2)
-    assert law.moment(1) / t.n == pytest.approx(finite_magnetization(t, 0.2), abs=1e-14)
-    assert finite_magnetization(t, 0.2) > 0.0
+    assert law.moment(1) / t.n == pytest.approx(law.M, abs=1e-14)
+    assert law.M > 0.0
 
 
 def test_pressure_gap_to_limit_halves_with_n(get_table):
     d, beta, B = 3, 0.4, 0.1
-    limit = pressure(ModelParams(d, beta, B))
-    gaps = [abs(finite_pressure(get_table(d, n, beta), B) - limit) for n in (250, 500, 1000)]
+    limit = thermo_point(ModelParams(d, beta, B)).psi
+    gaps = [abs(spin_law(get_table(d, n, beta), B).psi - limit) for n in (250, 500, 1000)]
     assert gaps[0] > gaps[1] > gaps[2] > 0.0
     # the correction is c/n + O(1/n^2): consecutive ratios sit near 2
     assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.2)
@@ -132,21 +119,23 @@ def test_increment_based_derivatives_beat_naive_differencing(get_table):
     dn = finite_pressure_increment(t, B, -h)
     m_fd = (up - dn) / (2.0 * h)
     chi_fd = (up + dn) / (h * h)
-    assert finite_magnetization(t, B) == pytest.approx(m_fd, abs=1e-8)
-    assert finite_susceptibility(t, B) == pytest.approx(chi_fd, abs=1e-7)
+    law = spin_law(t, B)
+    assert law.M == pytest.approx(m_fd, abs=1e-8)
+    assert law.chi == pytest.approx(chi_fd, abs=1e-7)
+    psi_up, psi_dn = spin_law(t, B + h).psi, spin_law(t, B - h).psi
     # the increment itself is the pressure difference, to roundoff
-    assert up == pytest.approx(finite_pressure(t, B + h) - finite_pressure(t, B), abs=1e-13)
+    assert up == pytest.approx(psi_up - law.psi, abs=1e-13)
     # differencing the pressures directly cancels ~10 digits; the increment
     # form (one tilted sum against the same base) keeps them
-    naive = (finite_pressure(t, B + h) - 2.0 * finite_pressure(t, B) + finite_pressure(t, B - h)) / h**2
-    chi = finite_susceptibility(t, B)
+    naive = (psi_up - 2.0 * law.psi + psi_dn) / h**2
+    chi = law.chi
     assert abs(chi_fd - chi) < abs(naive - chi)
 
 
 def test_offcritical_variance_approaches_chi(get_table):
     # away from the critical point S_n/sqrt(n) is in the Gaussian regime:
     # its variance tends to the limit susceptibility
-    chi = susceptibility(ModelParams(3, 0.4, 0.0))
+    chi = thermo_point(ModelParams(3, 0.4, 0.0)).chi
     v = {n: spin_law(get_table(3, n, 0.4)).moment(2) / n for n in (500, 2000)}
     assert abs(v[2000] - chi) < abs(v[500] - chi)
     assert v[2000] == pytest.approx(chi, rel=0.01)
@@ -163,8 +152,6 @@ def test_mgf_scaled_basics(get_table):
     for r in (11.0, math.nan, math.inf, -math.inf):  # abs(nan) > 10 is False
         with pytest.raises(ValueError):
             mgf_scaled(t, r)
-        with pytest.raises(ValueError):  # its mgf_full is this transform
-            truncation_check(t, r=r)
 
 
 def test_truncation_report_shape_and_honesty(get_table):
@@ -274,8 +261,23 @@ def _enumerated_counts(d, n):
 
 @pytest.mark.parametrize("d, n", [(3, 2), (3, 4), (2, 4), (4, 2), (2, 6)])
 def test_finite_pressure_matches_enumerated_pairings(d, n):
+    """psi_n, M_n and chi_n against E[Z_n] and the mean and variance of S under it.
+
+    The oracle sums every (pairing, spins) weight e^{beta E + B S} in math.fsum
+    and centres S on its own mean. All three share the pressure's 1e-14 gate:
+    the masses are exp of the same log-weights minus their log-sum-exp, so a
+    rounding that moves the log-weights by e moves every mass by a relative
+    ~e, M_n (an average of S/n in [-1, 1]) by at most ~e, and chi_n (an
+    average of (S - E S)^2/n, centred, so the mean's error enters only at
+    second order) by ~2e chi_n.
+    """
     tally, pairings = _enumerated_counts(d, n)
     for beta, B in ((0.0, 0.7), (0.4, 0.1), (1.3, 0.35)):
-        ez = math.fsum(c * math.exp(beta * e + B * s) for (e, s), c in tally.items()) / pairings
-        got = finite_pressure(build_table(d, n, beta), B)
-        assert abs(got - math.log(ez) / n) <= 1e-14, (beta, B)
+        w = {(e, s): c * math.exp(beta * e + B * s) for (e, s), c in tally.items()}
+        z = math.fsum(w.values())
+        mean = math.fsum(v * s for (_, s), v in w.items()) / z
+        var = math.fsum(v * (s - mean) ** 2 for (_, s), v in w.items()) / z
+        law = spin_law(build_table(d, n, beta), B)
+        assert abs(law.psi - math.log(z / pairings) / n) <= 1e-14, (beta, B)
+        assert abs(law.M - mean / n) <= 1e-14, (beta, B)
+        assert abs(law.chi - var / n) <= 1e-14, (beta, B)

@@ -152,6 +152,20 @@ def test_values_reject_a_negative_or_non_finite_beta(beta):
         gtable_values(3, 4, beta)
 
 
+@pytest.mark.parametrize(
+    "d, n, beta",
+    [
+        (3, 1, 0.5),  # dn = 3 odd: no perfect matching
+        (1, 3, 0.2),  # dn = 3 odd
+        (0, 4, 0.3),  # no half-edges
+        (3, 0, 0.3),  # no vertices
+    ],
+)
+def test_values_reject_a_size_without_a_perfect_matching(d, n, beta):
+    with pytest.raises(ValueError):
+        gtable_values(d, n, beta)
+
+
 def test_values_shape_and_clamps():
     out = gtable_values(3, 101 * 2, 0.7)
     assert out.shape == (203,)

@@ -11,19 +11,11 @@ from annealed_ising import (
     F_beta,
     H_beta,
     ModelParams,
-    NoNontrivialRootError,
     RootBracketError,
-    UndefinedAtCriticalityError,
     critical_beta,
     d2H_beta,
     dH_beta,
     f_beta,
-    find_t_plus,
-    find_t_star,
-    magnetization,
-    pressure,
-    specific_heat,
-    susceptibility,
     thermo_point,
 )
 from annealed_ising.thermo import T_GUARD
@@ -235,33 +227,29 @@ def test_d2H_closed_form_values():
 
 def test_field_root_small_B_linear_response():
     d, beta = 3, 0.3
-    chi0 = susceptibility(ModelParams(d, beta, 0.0))
+    chi0 = thermo_point(ModelParams(d, beta, 0.0)).chi
     for B in (1e-9, 1e-6, 1e-3):
-        pt = find_t_star(ModelParams(d, beta, B))
-        assert pt.kind == "field"
+        pt = thermo_point(ModelParams(d, beta, B))
         assert pt.residual <= 1e-12
-        assert 0.5 < pt.t_star < 1.0
-        assert (2.0 * pt.t_star - 1.0) / B == pytest.approx(chi0, rel=2e-3 + 2.0 * B)
+        assert 0.5 < pt.t_hat < 1.0
+        assert (2.0 * pt.t_hat - 1.0) / B == pytest.approx(chi0, rel=2e-3 + 2.0 * B)
 
 
 def test_field_root_requires_positive_B_and_can_fail_loudly():
-    with pytest.raises(ValueError):
-        find_t_star(ModelParams(3, 0.3, 0.0))
     # at B this large the maximizer is squeezed into the guarded endpoint
     with pytest.raises(RootBracketError):
-        find_t_star(ModelParams(3, 0.3, 50.0))
+        thermo_point(ModelParams(3, 0.3, 50.0))
 
 
 def test_spontaneous_root_onset_asymptotics():
     d = 3
     for delta, tol in ((1e-6, 0.01), (1e-4, 0.05)):
-        pt = find_t_plus(ModelParams(d, BC3 + delta, 0.0))
-        assert pt.kind == "spontaneous"
+        pt = thermo_point(ModelParams(d, BC3 + delta, 0.0))
         assert pt.residual <= 1e-12
         seed = math.sqrt(3.0 * d * d * delta / (4.0 * (d - 1.0)))
-        assert (pt.t_star - 0.5) / seed == pytest.approx(1.0, abs=tol)
-    pt = find_t_plus(ModelParams(3, 2.0, 0.0))
-    assert 0.9 < pt.t_star < 1.0 and pt.residual <= 1e-12
+        assert (pt.t_hat - 0.5) / seed == pytest.approx(1.0, abs=tol)
+    pt = thermo_point(ModelParams(3, 2.0, 0.0))
+    assert 0.9 < pt.t_hat < 1.0 and pt.residual <= 1e-12
 
 
 def test_spontaneous_root_deep_in_ordered_phase():
@@ -269,18 +257,17 @@ def test_spontaneous_root_deep_in_ordered_phase():
     above the 1e-12 polish target (measured ~1.4e-10 at beta = 2.5, where the
     root sits at 1 - t ~ 3e-7); the solver must return the best float with an
     honest residual rather than give up."""
-    pt = find_t_plus(ModelParams(3, 2.5, 0.0))
-    assert pt.kind == "spontaneous"
-    assert 0.5 < pt.t_star < 1.0
+    pt = thermo_point(ModelParams(3, 2.5, 0.0))
+    assert 0.5 < pt.t_hat < 1.0
     assert pt.residual <= 1e-9
     # the sign change of dH sits within a few ulps of the returned point
-    assert _sign_change_near(pt.t_star - 0.5, 3, 2.5, 0.0)
+    assert _sign_change_near(pt.t_hat - 0.5, 3, 2.5, 0.0)
     # magnetization keeps saturating monotonically toward 1
-    ms = [2.0 * find_t_plus(ModelParams(3, b, 0.0)).t_star - 1.0 for b in (2.0, 2.5, 3.0, 4.0)]
+    ms = [2.0 * thermo_point(ModelParams(3, b, 0.0)).t_hat - 1.0 for b in (2.0, 2.5, 3.0, 4.0)]
     assert all(lo < hi < 1.0 for lo, hi in zip(ms, ms[1:]))
     # past the endpoint guard the root is unrepresentable and fails loudly
     with pytest.raises(RootBracketError):
-        find_t_plus(ModelParams(3, 6.0, 0.0))
+        thermo_point(ModelParams(3, 6.0, 0.0))
 
 
 @pytest.mark.parametrize(
@@ -292,18 +279,16 @@ def test_newton_steps_onto_a_bracket_end_fall_back_to_bisection(beta, B):
     a step cannot shrink the bracket, so it must count as no progress."""
     tp = thermo_point(ModelParams(3, beta, B))
     assert all(math.isfinite(v) for v in (tp.psi, tp.M, tp.chi, tp.C))
-    assert tp.point.residual <= 1e-9
-    assert _sign_change_near(tp.point.t_star - 0.5, 3, beta, B)
+    assert tp.residual <= 1e-9
+    assert _sign_change_near(tp.t_hat - 0.5, 3, beta, B)
     assert tp.psi == pytest.approx(_golden_section_pressure(3, beta, B), rel=0.0, abs=1e-9)
 
 
 def test_spontaneous_root_rejections():
-    with pytest.raises(ValueError):
-        find_t_plus(ModelParams(2, 1.0, 0.0))
-    with pytest.raises(NoNontrivialRootError):
-        find_t_plus(ModelParams(3, BC3, 0.0))
-    with pytest.raises(NoNontrivialRootError):
-        find_t_plus(ModelParams(3, BC3 - 0.01, 0.0))
+    # with no nontrivial root (d = 2, or beta <= beta_c at d = 3) B = 0 is the trivial point
+    for p in (ModelParams(2, 1.0, 0.0), ModelParams(3, BC3, 0.0), ModelParams(3, BC3 - 0.01, 0.0)):
+        tp = thermo_point(p)
+        assert tp.t_hat == 0.5 and tp.M == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +364,8 @@ def test_bethe_point_is_the_maximizer_of_the_t_form(d):
     for beta in betas:
         for B in (0.0, 1e-9, 1e-3, 0.05, 0.3, 1.0):
             tp = thermo_point(ModelParams(d, beta, B))
-            t = tp.point.t_star
-            if tp.point.kind == "trivial":
+            t = tp.t_hat
+            if B == 0.0 and beta <= bc:  # the trivial branch
                 assert t == 0.5 and tp.M == 0.0
             else:
                 assert _sign_changes(d, beta, B) == 1, (beta, B)
@@ -507,12 +492,6 @@ def test_thermo_point_evaluates_no_variational_form(monkeypatch):
     for p in (ModelParams(3, 0.3, 0.0), ModelParams(3, BC3, 0.0), ModelParams(3, 0.8, 0.0),
               ModelParams(4, 0.4, 0.2), ModelParams(5, 2.9, 0.0)):
         thermo_point(p)
-        pressure(p)
-        magnetization(p)
-        susceptibility(p)
-    specific_heat(ModelParams(4, 0.4, 0.2))
-    find_t_star(ModelParams(4, 0.4, 0.2))
-    find_t_plus(ModelParams(3, 0.8, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -521,15 +500,15 @@ def test_thermo_point_evaluates_no_variational_form(monkeypatch):
 
 def test_free_spin_values():
     for d in (3, 4):
-        p = ModelParams(d, 0.0, 0.0)
-        assert pressure(p) == pytest.approx(math.log(2.0), rel=1e-15)
-        assert magnetization(p) == 0.0
-        assert susceptibility(p) == 1.0
-        assert specific_heat(p) == pytest.approx(d / 2.0, abs=1e-13)
+        tp = thermo_point(ModelParams(d, 0.0, 0.0))
+        assert tp.psi == pytest.approx(math.log(2.0), rel=1e-15)
+        assert tp.M == 0.0
+        assert tp.chi == 1.0
+        assert tp.C == pytest.approx(d / 2.0, abs=1e-13)
 
 
 def test_magnetization_monotone_in_field():
-    ms = [magnetization(ModelParams(3, 0.4, B)) for B in (0.1, 0.2, 0.5)]
+    ms = [thermo_point(ModelParams(3, 0.4, B)).M for B in (0.1, 0.2, 0.5)]
     assert 0.0 < ms[0] < ms[1] < ms[2] < 1.0
 
 
@@ -537,58 +516,45 @@ def test_chi_is_dM_dB():
     p = ModelParams(3, 0.4, 0.1)
     h = 1e-5
     fd = (
-        magnetization(ModelParams(3, 0.4, 0.1 + h)) - magnetization(ModelParams(3, 0.4, 0.1 - h))
+        thermo_point(ModelParams(3, 0.4, 0.1 + h)).M - thermo_point(ModelParams(3, 0.4, 0.1 - h)).M
     ) / (2.0 * h)
-    assert susceptibility(p) == pytest.approx(fd, rel=1e-6)
+    assert thermo_point(p).chi == pytest.approx(fd, rel=1e-6)
 
 
 def test_M_is_dpsi_dB():
     h = 1e-6
-    fd = (pressure(ModelParams(3, 0.4, 0.1 + h)) - pressure(ModelParams(3, 0.4, 0.1 - h))) / (
-        2.0 * h
-    )
-    assert magnetization(ModelParams(3, 0.4, 0.1)) == pytest.approx(fd, rel=1e-6)
+    fd = (
+        thermo_point(ModelParams(3, 0.4, 0.1 + h)).psi - thermo_point(ModelParams(3, 0.4, 0.1 - h)).psi
+    ) / (2.0 * h)
+    assert thermo_point(ModelParams(3, 0.4, 0.1)).M == pytest.approx(fd, rel=1e-6)
 
 
 @pytest.mark.parametrize("beta,B", [(0.4, 0.1), (0.7, 0.0), (0.3, 0.0)])
 def test_C_is_d2psi_dbeta2(beta, B):
     h = 1e-3
-    ps = [pressure(ModelParams(3, beta + k * h, B)) for k in (-2, -1, 0, 1, 2)]
+    ps = [thermo_point(ModelParams(3, beta + k * h, B)).psi for k in (-2, -1, 0, 1, 2)]
     fd = (-ps[0] + 16.0 * ps[1] - 30.0 * ps[2] + 16.0 * ps[3] - ps[4]) / (12.0 * h * h)
-    C = specific_heat(ModelParams(3, beta, B))
+    C = thermo_point(ModelParams(3, beta, B)).C
     assert C == pytest.approx(fd, rel=1e-5)
     assert C > 0.0
 
 
 def test_spontaneous_onset_amplitude():
     delta = 1e-8
-    m = magnetization(ModelParams(3, BC3 + delta, 0.0))
+    m = thermo_point(ModelParams(3, BC3 + delta, 0.0)).M
     assert m == pytest.approx(3.0 * math.sqrt(3.0 / 2.0) * math.sqrt(delta), rel=0.01)
-    assert magnetization(ModelParams(3, BC3 - 1e-6, 0.0)) == 0.0
+    assert thermo_point(ModelParams(3, BC3 - 1e-6, 0.0)).M == 0.0
 
 
 def test_exactly_critical_point_is_special():
-    p = ModelParams(3, BC3, 0.0)
-    assert susceptibility(p) == math.inf
-    with pytest.raises(UndefinedAtCriticalityError):
-        specific_heat(p)
-    tp = thermo_point(p)
+    tp = thermo_point(ModelParams(3, BC3, 0.0))
     assert tp.chi == math.inf
     assert math.isnan(tp.C)
     assert tp.M == 0.0
-    assert tp.point.kind == "trivial"
-
-
-def test_thermo_point_agrees_with_scalars():
-    for p in (ModelParams(3, 0.4, 0.2), ModelParams(3, 0.8, 0.0)):
-        tp = thermo_point(p)
-        assert tp.psi == pytest.approx(pressure(p), rel=1e-15)
-        assert tp.M == pytest.approx(magnetization(p), rel=1e-12)
-        assert tp.chi == pytest.approx(susceptibility(p), rel=1e-12)
-        assert tp.C == pytest.approx(specific_heat(p), rel=1e-12)
+    assert tp.t_hat == 0.5
 
 
 def test_pressure_increases_with_field_and_beta():
-    base = pressure(ModelParams(3, 0.4, 0.0))
-    assert pressure(ModelParams(3, 0.4, 0.3)) > base
-    assert pressure(ModelParams(3, 0.6, 0.0)) > base
+    base = thermo_point(ModelParams(3, 0.4, 0.0)).psi
+    assert thermo_point(ModelParams(3, 0.4, 0.3)).psi > base
+    assert thermo_point(ModelParams(3, 0.6, 0.0)).psi > base
