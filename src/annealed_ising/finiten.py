@@ -7,14 +7,15 @@ The annealed partition function factors over the number j of up spins:
 so every finite-n quantity reduces to the log-weight table
 log x_j = log C(n, j) + log g(d j, d n). The external field enters only at
 query time as a tilt 2 B j, which keeps one table reusable across a field
-scan. `spin_law(table, B)` is the one evaluation at a field: it tilts and
-normalises the weights once and carries the law of S = 2j - n together with
+scan. `spin_law(table, B)` is the one evaluation at a field: it tilts the
+weights, exponentiates them once and carries the law of S = 2j - n with
 psi_n = beta d/2 - B + (1/n) log sum_j x_j e^{2Bj}, M_n = E[S]/n and
 chi_n = Var(S)/n. The checks of the `finiten` verify suite sit at the end.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +46,9 @@ __all__ = [
 _MGF_GAP_TOL = 1e-8
 # (beta, B) at which pressure_gap_shrinks and derivative_consistency share tables
 _BETA_GAP, _B_GAP = 0.4, 0.1
+# np.exp rounds every argument below log(2^-1075) = -745.133 to exactly 0.0, and
+# is ~10x slower on such lanes than on the rest, so _shifted_exp never evaluates them
+_EXP_CUT = -746.0
 
 
 @dataclass(frozen=True)
@@ -73,16 +77,30 @@ class SpinLaw:
     d: int
     beta: float
     B: float
-    log_mass: np.ndarray  # normalized: LSE(log_mass) = 0
-    masses: np.ndarray  # exp(log_mass)
+    log_mass: np.ndarray  # w - z for the tilted log-weights w: LSE(log_mass) = 0
+    masses: np.ndarray  # e / sum(e), e = exp(w - max w); within a few ulp of exp(log_mass)
     psi: float
     M: float
     chi: float
 
     def moment(self, k: int) -> float:
-        """E[S^k] with S = 2j - n the total spin."""
-        s = 2.0 * np.arange(self.n + 1, dtype=np.float64) - self.n
-        return float(np.sum(self.masses * s**k))
+        """E[S^k] with S = 2j - n the total spin.
+
+        S^k is formed by repeated squaring of the integer grid, so it is exact,
+        and bitwise s**k, while |S|^k < 2^53 (n <= 9740 for k = 4).
+        """
+        if k < 0:
+            raise ValueError(f"k={k}: need a non-negative power")
+        power, base = None, _spin_grid(self.n)[1]
+        while k:
+            if k & 1:
+                power = base if power is None else power * base
+            k >>= 1
+            if k:
+                base = base * base
+        if power is None:
+            return float(np.sum(self.masses))
+        return float(np.sum(self.masses * power))
 
 
 @dataclass(frozen=True)
@@ -99,9 +117,28 @@ class TruncationReport:
     passed: bool
 
 
+@functools.lru_cache(maxsize=64)
+def _spin_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only j = 0..n and s = 2j - n as float64 (memoised per n)."""
+    j = np.arange(n + 1, dtype=np.float64)
+    s = 2.0 * j - n
+    j.setflags(write=False)
+    s.setflags(write=False)
+    return j, s
+
+
+def _shifted_exp(v: np.ndarray) -> tuple[float, np.ndarray]:
+    """max(v) and exp(v - max(v)), bitwise np.exp, with lanes below _EXP_CUT never evaluated."""
+    top = float(np.max(v))
+    x = v - top
+    e = np.zeros_like(x)
+    np.exp(x, out=e, where=~(x < _EXP_CUT))  # written so that nan lanes still propagate
+    return top, e
+
+
 def _lse(v: np.ndarray) -> float:
-    m = float(np.max(v))
-    return m + math.log(float(np.sum(np.exp(v - m))))
+    top, e = _shifted_exp(v)
+    return top + math.log(float(np.sum(e)))
 
 
 def build_table(d: int, n: int, beta: float, cache_dir: str | None = None) -> LogWeightTable:
@@ -123,10 +160,8 @@ def finite_pressure_increment(table: LogWeightTable, B: float, dB: float) -> flo
     """
     if not math.isfinite(B):
         raise ValueError(f"B={B}: need a finite field")
-    j = np.arange(table.n + 1, dtype=np.float64)
-    w = table.log_x + 2.0 * B * j
-    m = float(np.max(w))
-    p = np.exp(w - m)
+    j = _spin_grid(table.n)[0]
+    _, p = _shifted_exp(table.log_x + 2.0 * B * j)
     p /= np.sum(p)
     return math.log(float(np.sum(p * np.exp(2.0 * dB * j)))) / table.n - dB
 
@@ -134,31 +169,33 @@ def finite_pressure_increment(table: LogWeightTable, B: float, dB: float) -> flo
 def spin_law(table: LogWeightTable, B: float = 0.0) -> SpinLaw:
     """Normalized law of the up-spin count at field B, with psi_n, M_n and chi_n.
 
-    One log-sum-exp z of the tilted weights w gives psi_n = beta d/2 - B +
-    z/n and the log-masses w - z; one exp gives the masses. M_n = E[S]/n =
-    dpsi_n/dB sums them against S. chi_n = Var(S)/n = d^2 psi_n/dB^2 is the
-    centred second moment under the masses renormalized by their own sum:
-    E[S^2] - E[S]^2 would cancel ~n-fold in the ordered phase and amplify the
-    ~1e-12 normalization error of the log-masses with it.
+    One exp gives e = exp(w - max w) for the tilted log-weights w; its sum
+    gives z = max w + log sum(e), so psi_n = beta d/2 - B + z/n, and the
+    masses e / sum(e), normalised to a few ulp. Taking them as exp(w - z)
+    instead would scale all of them by the rounding of z, ~ulp(|z|) ~ 1e-12
+    at n = 8000. M_n = E[S]/n = dpsi_n/dB sums the masses against S.
+    chi_n = Var(S)/n = d^2 psi_n/dB^2 is the centred second moment:
+    E[S^2] - E[S]^2 would cancel ~n-fold in the ordered phase.
     """
     if not math.isfinite(B):
         raise ValueError(f"B={B}: need a finite field")
     n = table.n
-    j = np.arange(n + 1, dtype=np.float64)
+    j, s = _spin_grid(n)
     w = table.log_x + 2.0 * B * j
-    z = _lse(w)
-    log_mass = w - z
-    masses = np.exp(log_mass)
-    s = 2.0 * j - n
-    M = float(np.sum(masses * s)) / n
-    p = masses / np.sum(masses)
-    s -= np.sum(p * s)
-    chi = float(np.sum(p * s * s)) / n
-    log_mass.setflags(write=False)
+    top, masses = _shifted_exp(w)
+    total = float(np.sum(masses))
+    z = top + math.log(total)
+    masses /= total
+    mean = float(np.sum(masses * s))
+    sq = s - mean
+    sq *= sq
+    chi = float(np.sum(masses * sq)) / n
+    w -= z  # the log-masses
+    w.setflags(write=False)
     masses.setflags(write=False)
     psi = table.beta * table.d / 2.0 - B + z / n
     return SpinLaw(
-        n=n, d=table.d, beta=table.beta, B=B, log_mass=log_mass, masses=masses, psi=psi, M=M, chi=chi
+        n=n, d=table.d, beta=table.beta, B=B, log_mass=w, masses=masses, psi=psi, M=mean / n, chi=chi
     )
 
 
@@ -171,8 +208,7 @@ def mgf_scaled(table: LogWeightTable, r: float) -> float:
         raise ValueError(f"r={r}: need a finite scaled tilt with |r| <= 10")
     if r == 0.0:
         return 1.0
-    s = 2.0 * np.arange(table.n + 1, dtype=np.float64) - table.n
-    shift = r * s / table.n**0.75
+    shift = r * _spin_grid(table.n)[1] / table.n**0.75
     return math.exp(_lse(table.log_x + shift) - _lse(table.log_x))
 
 
@@ -198,12 +234,11 @@ def truncation_check(table: LogWeightTable) -> TruncationReport:
     full = mgf_scaled(table, 1.0)
     n = table.n
     w = n ** (5.0 / 6.0)
-    j = np.arange(n + 1, dtype=np.float64)
+    j, s = _spin_grid(n)
     inside = np.abs(j - n // 2) <= w
     law = spin_law(table, 0.0)
     tail = float(np.sum(law.masses[~inside]))
 
-    s = 2.0 * j - n
     shift = s / n**0.75
     windowed = math.exp(_lse(table.log_x[inside] + shift[inside]) - _lse(table.log_x[inside]))
     gap = abs(full - windowed)

@@ -3,6 +3,7 @@
 import itertools
 import math
 from collections import Counter
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -83,6 +84,123 @@ def test_ordered_phase_susceptibility_matches_fsum(get_table, B):
     assert spin_law(t, B).chi == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
+def _decimal_law(w):
+    """Up-spin counts, x = w - max w, masses, mean and variance of S under log-weights w.
+
+    Every sum runs in 40-digit decimal from the exact float inputs. Lanes more
+    than 250 below the top are left out: they carry less than
+    e^-250 (n+1) n^2 < 1e-90 of any sum here.
+    """
+    n = len(w) - 1
+    top = float(np.max(w))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        keep = [(j, Decimal(float(v)) - Decimal(top)) for j, v in enumerate(w) if v - top > -250.0]
+        e = [x.exp() for _, x in keep]
+        z = sum(e)
+        mean = sum(ej * (2 * j - n) for (j, _), ej in zip(keep, e)) / z
+        var = sum(ej * (2 * j - n - mean) ** 2 for (j, _), ej in zip(keep, e)) / z
+        js = np.array([j for j, _ in keep], dtype=np.float64)
+        x = np.array([float(xj) for _, xj in keep])
+        m = np.array([float(ej / z) for ej in e])
+    return js, x, m, float(mean), float(var)
+
+
+def _spin_law_error_bounds(n, js, x, m, mean, var):
+    """First-order bounds on |M_n - M| and |chi_n - chi| / chi from spin_law's float steps.
+
+    Computed from the oracle's law only, with u = 2^-53. Each mass e_j / sum(e)
+    carries the rounding of x_j = w_j - max w (u |x_j|), of exp (within 2 ulp,
+    4u) and of the division (u), plus one error common to all lanes: the sum
+    of e, whose depth numpy's pairwise sum keeps <= 16 + 3 + log2(n) (eight
+    accumulators of 16 terms per 128-block, then pairs), and the lane errors
+    that sum collects. M_n adds a product per lane, the sum of signed terms
+    (depth u sum m|s|) and its /n, so relative to |M| its bound scales with
+    sum m|s| / |sum m s|. chi_n sums non-negative terms: s - mean, its square,
+    the product, the sum and /n add (depth + 6) u, and the mean's own error
+    enters at second order.
+    """
+    u = 2.0**-53
+    s = 2.0 * js - n
+    depth = 19 + math.ceil(math.log2(n + 1))
+    common = float(np.sum(m * (u * np.abs(x) + 4 * u))) + depth * u
+    rho = u * np.abs(x) + 5 * u + common
+    weight = m * np.abs(s)
+    dmu = float(np.sum(weight * (rho + u))) + depth * u * float(np.sum(weight)) + 2 * u * abs(mean)
+    dev = s - mean
+    rel_chi = float(np.sum(m * dev**2 * rho)) / var + (depth + 6) * u
+    rel_chi += (dmu**2 + 2 * dmu * float(np.max(rho)) * float(np.sum(m * np.abs(dev)))) / var
+    return dmu / n, rel_chi
+
+
+@pytest.mark.parametrize("beta, B", [(0.6, 0.1), (0.6, 0.25), (3.0, 0.25), (3.0, 0.5), (0.0, 0.7)])
+def test_magnetization_and_susceptibility_match_the_decimal_oracle(get_table, beta, B):
+    # the oracle sums the same float log-weights spin_law tilts to; beta = 0 is
+    # the free-spin law at the field free_spin_closed_forms uses
+    n = 8000
+    t = get_table(3, n, beta)
+    js, x, m, mean, var = _decimal_law(t.log_x + 2.0 * B * np.arange(n + 1, dtype=np.float64))
+    abs_M, rel_chi = _spin_law_error_bounds(n, js, x, m, mean, var)
+    law = spin_law(t, B)
+    assert abs(law.M - mean / n) <= abs_M
+    assert abs(law.chi - var / n) <= rel_chi * (var / n)
+
+
+def test_exp_is_exactly_zero_below_the_cut():
+    # spin_law and _lse leave lanes below the cut as 0.0 without evaluating
+    # them; that is bitwise np.exp only if the running numpy returns +0.0 there
+    below = np.nextafter(finiten._EXP_CUT, -np.inf)
+    args = np.concatenate((np.linspace(-1e4, below, 100_001), [below, -np.inf]))
+    out = np.exp(args)
+    assert np.array_equal(out.view(np.int64), np.zeros(len(args), dtype=np.int64))
+    assert np.exp(below) == 0.0 and np.exp(-np.inf) == 0.0
+
+
+def _lse_full(v):
+    m = float(np.max(v))
+    return m + math.log(float(np.sum(np.exp(v - m))))
+
+
+def _increment_full(t, B, dB):
+    j = np.arange(t.n + 1, dtype=np.float64)
+    w = t.log_x + 2.0 * B * j
+    p = np.exp(w - float(np.max(w)))
+    p /= np.sum(p)
+    return math.log(float(np.sum(p * np.exp(2.0 * dB * j)))) / t.n - dB
+
+
+@pytest.mark.parametrize(
+    "n, beta, Bs, underflow",
+    [(8000, 3.0, (0.0, 0.25, 0.5), True), (4000, BC3, (0.0,), False)],
+)
+def test_skipped_lanes_keep_every_query_bitwise(get_table, n, beta, Bs, underflow):
+    # at beta = 3 most lanes of exp(w - max w) underflow to 0, at beta_c none do
+    t = get_table(3, n, beta)
+    j = np.arange(n + 1, dtype=np.float64)
+    s = 2.0 * j - n
+    for B in Bs:
+        w = t.log_x + 2.0 * B * j
+        zeros = np.count_nonzero(np.exp(w - float(np.max(w))) == 0.0)
+        assert zeros > n // 2 if underflow else zeros == 0
+        assert finiten._lse(w) == _lse_full(w)
+        assert spin_law(t, B).psi == 3 * beta / 2.0 - B + _lse_full(w) / n
+        for dB in (1e-5, -1e-5, 0.01):
+            assert finite_pressure_increment(t, B, dB) == _increment_full(t, B, dB)
+    for r in (0.5, 1.0, 2.0, -2.0):
+        want = math.exp(_lse_full(t.log_x + r * s / n**0.75) - _lse_full(t.log_x))
+        assert mgf_scaled(t, r) == want
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_moments_are_bitwise_the_pow_expression(get_table, d):
+    # repeated squaring of the integer grid is exact, as is pow, while |s|^k < 2^53
+    for n in (500, 1000, 2000, 4000):
+        law = spin_law(get_table(d, n, critical_beta(d)))
+        s = 2.0 * np.arange(n + 1, dtype=np.float64) - n
+        for k in (0, 1, 2, 3, 4):
+            assert law.moment(k) == float(np.sum(law.masses * s**k)), (n, k)
+
+
 def test_spin_law_is_symmetric_and_centered(get_table):
     law = spin_law(get_table(3, 100, 0.45))
     assert law.masses.shape == (101,)
@@ -90,6 +208,8 @@ def test_spin_law_is_symmetric_and_centered(get_table):
     assert np.array_equal(law.masses, law.masses[::-1])
     assert abs(law.moment(1)) <= 1e-12
     assert law.moment(2) > 0.0
+    with pytest.raises(ValueError):
+        law.moment(-1)
     for stored in (law.log_mass, law.masses):
         with pytest.raises(ValueError):
             stored[0] = 0.5  # the stored buffers are frozen
