@@ -1,4 +1,4 @@
-"""Annealed Ising model on random d-regular graphs.
+"""Annealed Ising model on d-regular configuration-model graphs.
 
 Exact finite-size computations via pairing-count weight tables, the
 thermodynamic limit via a scalar variational problem, and the critical

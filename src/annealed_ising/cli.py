@@ -11,7 +11,7 @@ Three subcommands:
   their math in ``criticality``, ``finiten`` and ``matching``; this module
   only maps a suite name to them and writes what they return.
 
-Output is deterministic for a fixed configuration and seed: floats are
+Output is deterministic for a fixed configuration: floats are
 serialized with repr (shortest round-trip form), rows are emitted in grid
 order, and reports carry no timestamps.
 """
@@ -44,7 +44,6 @@ class RunConfig:
     cache_dir: str | None
     out: str | None
     fmt: str
-    seed: int
     suite: str | None = None
 
     def __post_init__(self):
@@ -123,7 +122,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         cache_dir=args.cache_dir,
         out=args.out,
         fmt=args.format,
-        seed=args.seed,
         suite=args.suite,
     )
 
@@ -139,7 +137,7 @@ def _parser() -> argparse.ArgumentParser:
     """Each subcommand takes only the flags it reads; any other is a usage error."""
     p = _Parser(
         prog="annealed-ising",
-        description="Annealed Ising model on random d-regular graphs: "
+        description="Annealed Ising model on d-regular configuration-model graphs: "
         "exact finite-size tables and thermodynamic-limit curves.",
     )
     sub = p.add_subparsers(dest="command", required=True)
@@ -149,9 +147,7 @@ def _parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", required=True, choices=SUITES)
     for sp in (g, t, v):
         # the flags a subcommand does not take read as unset
-        sp.set_defaults(
-            beta=None, beta_range=None, B=None, B_range=None, format="csv", seed=0, suite=None
-        )
+        sp.set_defaults(beta=None, beta_range=None, B=None, B_range=None, format="csv", suite=None)
         sp.add_argument("--d", type=int, default=3, help="graph degree (default 3)")
     for sp in (g, t):
         sp.add_argument("--beta", type=float, help="inverse temperature")
@@ -165,7 +161,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output path (default: stdout)")
     for sp in (g, t):
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    v.add_argument("--seed", type=int, default=0, help="RNG seed for sampling checks")
     return p
 
 
@@ -287,7 +282,6 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
     report = {
         "suite": suite,
         "d": cfg.d,
-        "seed": cfg.seed,
         "checks": checks,
         "pass": bool(all(c["pass"] for c in checks)),
     }
@@ -323,11 +317,7 @@ _SUITES = {
     "jump": lambda cfg: [criticality.specific_heat_jump(cfg.d)],
     "scaling": lambda cfg: [criticality.scaling_limit_check(cfg.d, *_sizes(cfg), cache_dir=cfg.cache_dir)],
     "finiten": lambda cfg: finiten.finite_size_checks(cfg.d, *_sizes(cfg), cache_dir=cfg.cache_dir),
-    "matching": lambda cfg: [
-        matching.pairing_law_exact(),
-        matching.sampler_matches_law(cfg.seed),
-        matching.table_identities(cfg.cache_dir),
-    ],
+    "matching": lambda cfg: [matching.pairing_law_exact(), matching.table_identities(cfg.cache_dir)],
 }
 SUITES = tuple(_SUITES)
 

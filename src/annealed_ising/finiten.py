@@ -64,6 +64,11 @@ class LogWeightTable:
         if len(self.log_x) != self.n + 1:
             raise ValueError(f"log_x has {len(self.log_x)} entries, expected n+1={self.n + 1}")
 
+    @functools.cached_property
+    def log_norm(self) -> float:
+        """log sum_j x_j, the B = 0 normaliser (computed once per table)."""
+        return _lse(self.log_x)
+
 
 @dataclass(frozen=True)
 class SpinLaw:
@@ -209,7 +214,7 @@ def mgf_scaled(table: LogWeightTable, r: float) -> float:
     if r == 0.0:
         return 1.0
     shift = r * _spin_grid(table.n)[1] / table.n**0.75
-    return math.exp(_lse(table.log_x + shift) - _lse(table.log_x))
+    return math.exp(_lse(table.log_x + shift) - table.log_norm)
 
 
 def truncation_check(table: LogWeightTable) -> TruncationReport:

@@ -5,7 +5,7 @@ subset to its complement. The scalar weight g_beta(k, m) = E[exp(-2*beta*X)]
 is what averaging over the pairing model attaches to a spin split, and the
 per-size table values[j] = log g_beta(dj, dn) feeds every finite-size
 quantity; on disk it is one `.npy` file holding a record of d, n, beta and
-values. Laws are exact; only `sample_cross_count` is stochastic.
+values. Every law here is exact.
 """
 
 from __future__ import annotations
@@ -26,12 +26,9 @@ __all__ = [
     "LogG",
     "brute_force_law",
     "cross_count_law",
-    "sample_cross_count",
-    "sample_cross_counts",
     "log_g_table",
     "cache_path",
     "pairing_law_exact",
-    "sampler_matches_law",
     "table_identities",
 ]
 
@@ -61,23 +58,40 @@ def brute_force_law(k: int, m: int) -> dict[int, float]:
     _check_km(k, m)
     if m > 14:
         raise ValueError(f"m={m} too large to enumerate ((m-1)!! growth, cap m=14)")
-    if m == 0:
-        return {0: 1.0}
-    counts: dict[int, int] = {}
-    _enumerate(list(range(m)), k, 0, counts)
-    total = sum(counts.values())
-    return {x: c / total for x, c in sorted(counts.items())}
+    row = _cross_counts(m)[k]
+    total = sum(row)
+    return {x: c / total for x, c in enumerate(row) if c}
 
 
-def _enumerate(points: list[int], k: int, crossings: int, counts: dict[int, int]) -> None:
-    if not points:
-        counts[crossings] = counts.get(crossings, 0) + 1
-        return
-    first = points[0]
-    rest = points[1:]
-    for i, second in enumerate(rest):
-        cross = (first < k) != (second < k)
-        _enumerate(rest[:i] + rest[i + 1 :], k, crossings + cross, counts)
+@functools.cache
+def _cross_counts(m: int) -> tuple[tuple[int, ...], ...]:
+    """counts[k][x]: perfect matchings of 0..m-1 with x pairs across {0..k-1} (memoised per m).
+
+    One enumeration serves every k. A pair (a, b), a < b, crosses the prefix
+    {0..k-1} exactly when a < k <= b, so +1 at a+1 and -1 at b+1 in a
+    difference array make its prefix sums X(0), ..., X(m) in one pass per
+    matching. The rows are tuples, so no caller can alter the memo.
+    """
+    counts = [[0] * (m // 2 + 1) for _ in range(m + 1)]
+    diff = [0] * (m + 1)
+
+    def pair(points: list[int]) -> None:
+        if not points:
+            x = 0
+            for k, step in enumerate(diff):
+                x += step
+                counts[k][x] += 1
+            return
+        first, rest = points[0], points[1:]
+        diff[first + 1] += 1
+        for i, second in enumerate(rest):
+            diff[second + 1] -= 1
+            pair(rest[:i] + rest[i + 1 :])
+            diff[second + 1] += 1
+        diff[first + 1] -= 1
+
+    pair(list(range(m)))
+    return tuple(map(tuple, counts))
 
 
 def cross_count_law(k: int, m: int) -> dict[int, float]:
@@ -102,6 +116,19 @@ def _log_prob(k: int, m: int, x: int) -> float:
     )
 
 
+def _closed_count(k: int, m: int, x: int) -> int:
+    """C(k,x) C(m-k,x) x! (k-x-1)!! (m-k-x-1)!! in integers: the matchings with X(k, m) = x."""
+    if (k - x) % 2:
+        return 0  # off the support's parity; math.comb gives 0 beyond its ends
+    return (
+        math.comb(k, x)
+        * math.comb(m - k, x)
+        * math.factorial(x)
+        * math.prod(range(k - x - 1, 0, -2))
+        * math.prod(range(m - k - x - 1, 0, -2))
+    )
+
+
 def _lchoose(a: int, b: int) -> float:
     return math.lgamma(a + 1.0) - math.lgamma(b + 1.0) - math.lgamma(a - b + 1.0)
 
@@ -117,40 +144,6 @@ def _check_km(k: int, m: int) -> None:
         raise ValueError(f"m={m}: perfect matching needs an even point count")
     if not 0 <= k <= m:
         raise ValueError(f"k={k} outside 0..{m}")
-
-
-# ---------------------------------------------------------------------------
-# sampling
-
-
-def sample_cross_count(k: int, m: int, rng=None) -> int:
-    """One draw of X(k, m) from a sequential uniform pairing.
-
-    Only the unmatched counts on each side matter: repeatedly take an
-    unmatched point and match it to a uniform choice among the others, which
-    is distributionally the uniform perfect matching.
-    """
-    return int(sample_cross_counts(k, m, 1, rng)[0])
-
-
-def sample_cross_counts(k: int, m: int, size: int, rng=None) -> np.ndarray:
-    """Vectorized draws of X(k, m); `rng` is a seed or numpy Generator."""
-    _check_km(k, m)
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    a = np.full(size, k, dtype=np.int64)  # unmatched marked points
-    b = np.full(size, m - k, dtype=np.int64)
-    x = np.zeros(size, dtype=np.int64)
-    for _ in range(m // 2):
-        pick_marked = a > 0
-        # partner of the chosen point is uniform among the a+b-1 others
-        u = gen.random(size)
-        cross = pick_marked & (u * (a + b - 1) < b)
-        within_marked = pick_marked & ~cross
-        ci = cross.astype(np.int64)
-        a -= ci + 2 * within_marked.astype(np.int64)
-        b -= ci + 2 * (~pick_marked).astype(np.int64)
-        x += ci
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -249,49 +242,32 @@ def _write_cache(path: Path, d: int, n: int, beta: float, values: np.ndarray) ->
 
 
 def pairing_law_exact() -> dict:
-    """brute_force_law against cross_count_law for every (k, m) with m <= 12, to 1e-12 in log."""
+    """Enumerated counts of X(k, m) against the closed form, every (k, m) with m <= 12.
+
+    Every count must equal the integer closed form exactly (0 off the
+    support), and cross_count_law must lie within 1e-12 in log of each
+    enumerated count / (m-1)!!.
+    """
     tol = 1e-12
-    max_gap, cases = 0.0, 0
+    max_gap, cases, mismatches = 0.0, 0, 0
     for m in range(2, 13, 2):
-        for k in range(0, m + 1):
-            bf, cl = brute_force_law(k, m), cross_count_law(k, m)
-            if set(bf) != set(cl):
+        for k, row in enumerate(_cross_counts(m)):
+            mismatches += sum(c != _closed_count(k, m, x) for x, c in enumerate(row))
+            total, law = sum(row), cross_count_law(k, m)
+            if set(law) != {x for x, c in enumerate(row) if c}:
                 max_gap = math.inf
-                continue
-            for x, p in bf.items():
-                max_gap = max(max_gap, abs(math.log(p) - math.log(cl[x])))
+            else:
+                gaps = (abs(math.log(row[x] / total) - math.log(p)) for x, p in law.items())
+                max_gap = max(max_gap, *gaps)
             cases += 1
     return {
         "check": "pairing_law_exact",
         "d": None,
         "grid": [2, 12],
-        "estimates": {"max_log_gap": max_gap, "cases": cases},
-        "targets": {"max_log_gap": 0.0},
+        "estimates": {"max_log_gap": max_gap, "cases": cases, "count_mismatches": mismatches},
+        "targets": {"max_log_gap": 0.0, "count_mismatches": 0},
         "tolerances": {"abs": tol},
-        "pass": max_gap <= tol,
-    }
-
-
-def sampler_matches_law(seed) -> dict:
-    """Mean of 100 000 sampled X(k, m) within 4 standard errors of the exact law's, at three (k, m)."""
-    rng = np.random.default_rng(seed)
-    draws, z_max = 100_000, 4.0
-    worst = 0.0
-    for k, m in ((4, 12), (7, 16), (12, 30)):
-        law = cross_count_law(k, m)
-        mean = sum(x * p for x, p in law.items())
-        var = sum(x * x * p for x, p in law.items()) - mean * mean
-        se = math.sqrt(var / draws)
-        xs = sample_cross_counts(k, m, draws, rng)
-        worst = max(worst, abs(float(np.mean(xs)) - mean) / se if se > 0 else 0.0)
-    return {
-        "check": "sampler_matches_law",
-        "d": None,
-        "grid": [draws],
-        "estimates": {"worst_z": worst},
-        "targets": {"worst_z": 0.0},
-        "tolerances": {"z_max": z_max},
-        "pass": worst <= z_max,
+        "pass": mismatches == 0 and max_gap <= tol,
     }
 
 

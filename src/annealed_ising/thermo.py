@@ -1,8 +1,8 @@
 """Thermodynamic-limit pressure and its derivatives for the annealed model.
 
-The annealed pressure on random d-regular graphs is the Bethe pressure of the
-d-regular tree (Dembo & Montanari 2010; Can 2017). With theta = tanh(beta),
-h the largest root of the fixed-point equation
+The annealed pressure on d-regular configuration-model graphs is the Bethe
+pressure of the d-regular tree (Dembo & Montanari 2010; Can 2017). With
+theta = tanh(beta), h the largest root of the fixed-point equation
 
     h = B + (d-1) atanh(theta tanh h)
 

@@ -1,4 +1,4 @@
-"""Cross-edge laws, the Monte Carlo sampler, and the g-table cache."""
+"""Cross-edge laws, their enumeration gate, and the g-table cache."""
 
 import io
 import math
@@ -13,16 +13,10 @@ from annealed_ising import (
     critical_beta,
     cross_count_law,
     log_g_table,
-    sample_cross_count,
-    sample_cross_counts,
+    matching,
+    pairing_law_exact,
 )
 from annealed_ising.matching import CACHE_ENV, _header, _record, cache_path
-
-
-def law_mean_var(law):
-    mean = sum(x * p for x, p in law.items())
-    var = sum((x - mean) ** 2 * p for x, p in law.items())
-    return mean, var
 
 
 # ---------------------------------------------------------------------------
@@ -81,32 +75,59 @@ def test_transform_decreases_in_beta():
     assert gs[0] > gs[1] > gs[2] > 0.0
 
 
-# ---------------------------------------------------------------------------
-# sampler
+def _dfact(o):
+    return math.prod(range(o, 0, -2))  # o!! for odd o >= -1, with (-1)!! = 1
 
 
-def test_sampler_matches_law_moments():
-    rng = np.random.default_rng(20260815)
-    size = 50_000
-    for k, m in [(4, 12), (7, 16), (12, 30)]:
-        law = cross_count_law(k, m)
-        mean, var = law_mean_var(law)
-        draws = sample_cross_counts(k, m, size, rng)
-        assert set(np.unique(draws)) <= set(law)
-        z_mean = (draws.mean() - mean) / math.sqrt(var / size)
-        assert abs(z_mean) < 4.0, (k, m, z_mean)
-        # fourth-moment bound on the variance of the sample variance is loose;
-        # a plain 6-sigma-ish cap on the relative error does the job here
-        assert draws.var() == pytest.approx(var, rel=0.05), (k, m)
+def test_enumerated_law_is_the_exact_count_ratio():
+    # every probability is the correctly rounded count / (m-1)!!, count from the closed form
+    for m in range(0, 13, 2):
+        for k in range(m + 1):
+            want = {
+                x: math.comb(k, x)
+                * math.comb(m - k, x)
+                * math.factorial(x)
+                * _dfact(k - x - 1)
+                * _dfact(m - k - x - 1)
+                / _dfact(m - 1)
+                for x in range(k & 1, min(k, m - k) + 1, 2)
+            }
+            assert brute_force_law(k, m) == want, (k, m)
 
 
-def test_sampler_scalar_and_seed_determinism():
-    x = sample_cross_count(4, 12, rng=7)
-    assert isinstance(x, int)
-    assert x in cross_count_law(4, 12)
-    a = sample_cross_counts(4, 12, 100, rng=7)
-    b = sample_cross_counts(4, 12, 100, rng=7)
-    assert np.array_equal(a, b)
+def test_pairing_law_gate_catches_one_planted_count(monkeypatch):
+    counts = matching._cross_counts
+
+    def planted(m):
+        rows = [list(row) for row in counts(m)]
+        if m == 8:
+            rows[3][1] += 1  # one matching too many with X(3, 8) = 1
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(matching, "_cross_counts", planted)
+    rep = pairing_law_exact()
+    assert rep["pass"] is False
+    assert rep["estimates"]["count_mismatches"] == 1
+
+
+def test_pairing_law_gate_catches_an_integer_formula_off_by_one(monkeypatch):
+    # the float law stays right, so only the exact integer comparison can turn the gate red
+    closed = matching._closed_count
+
+    def planted(k, m, x):
+        return closed(k, m, x) + ((k, m, x) == (5, 12, 3))
+
+    monkeypatch.setattr(matching, "_closed_count", planted)
+    rep = pairing_law_exact()
+    assert rep["estimates"]["max_log_gap"] <= 1e-12
+    assert rep["estimates"]["count_mismatches"] == 1
+    assert rep["pass"] is False
+
+
+def test_enumeration_memo_cannot_be_altered_by_a_caller():
+    law = brute_force_law(3, 8)
+    law[1] = 0.0
+    assert brute_force_law(3, 8) == {1: 45 / 105, 3: 60 / 105}
 
 
 # ---------------------------------------------------------------------------
