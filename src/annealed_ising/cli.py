@@ -11,6 +11,12 @@ Three subcommands:
   their math in ``criticality``, ``finiten`` and ``matching``; this module
   only maps a suite name to them and writes what they return.
 
+The parser is built once, at import, and checks every flag where it reads
+it: a range or size list is parsed, and beta, B, d and n are range-checked,
+by the flag's argparse type. ``main`` adds only the checks that need two
+flags or the filesystem (an odd d*n, sizes for a suite that reads none, and
+``--out``), all before any work.
+
 Output is deterministic for a fixed configuration: floats are
 serialized with repr (shortest round-trip form), rows are emitted in grid
 order, and reports carry no timestamps.
@@ -23,107 +29,55 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import criticality, finiten, matching, thermo
 
-__all__ = ["RunConfig", "main", "cmd_gtable", "cmd_thermo", "cmd_verify"]
+__all__ = ["main", "cmd_gtable", "cmd_thermo", "cmd_verify"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters for one invocation."""
-
-    command: str
-    d: int
-    betas: tuple[float, ...]
-    Bs: tuple[float, ...]
-    ns: tuple[int, ...]
-    cache_dir: str | None
-    out: str | None
-    fmt: str
-    suite: str | None = None
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"d={self.d}: need d >= 1")
-        if not all(math.isfinite(b) and b >= 0 for b in self.betas):
-            raise ValueError("beta values must be finite and >= 0")
-        if not all(math.isfinite(B) and B >= 0 for B in self.Bs):
-            raise ValueError("B values must be finite and >= 0")
-        for n in self.ns:
-            if n < 1:
-                raise ValueError(f"n={n}: need n >= 1")
-            if (self.d * n) % 2:
-                raise ValueError(f"d*n = {self.d}*{n} is odd: the pairing model needs d*n even")
+# argparse types: each reads one flag's text and rejects what the model cannot take
+def _field(v: float) -> float:
+    """A beta or B: finite and >= 0."""
+    if not (math.isfinite(v) and v >= 0):
+        raise argparse.ArgumentTypeError(f"{v!r} is not a finite value >= 0")
+    return v
 
 
-def _parse_range(text: str, name: str) -> tuple[float, ...]:
+def _point(text: str) -> tuple[float]:
+    return (_field(float(text)),)
+
+
+def _range(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"{name}={text!r}: expected start:stop:steps")
-    try:
-        a, b, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ValueError(f"{name}={text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"{text!r}: expected start:stop:steps")
+    a, b, steps = _field(float(parts[0])), _field(float(parts[1])), int(parts[2])
     if steps < 1:
-        raise ValueError(f"{name}={text!r}: steps must be >= 1")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"{name}={text!r}: endpoints must be finite")
-    return tuple(float(v) for v in np.linspace(a, b, steps))
+        raise argparse.ArgumentTypeError(f"{text!r}: steps must be >= 1")
+    return tuple(float(v) for v in np.linspace(a, b, steps))  # all between the checked ends
 
 
-def _parse_nlist(text: str) -> tuple[int, ...]:
-    try:
-        ns = tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise ValueError(f"--n-list {text!r}: {exc}") from None
+def _degree(text: str) -> int:
+    d = int(text)
+    if d < 1:
+        raise argparse.ArgumentTypeError(f"d={d}: need d >= 1")
+    return d
+
+
+def _size(text: str) -> tuple[int]:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"n={n}: need n >= 1")
+    return (n,)
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    ns = tuple(n for p in text.split(",") if p.strip() for n in _size(p))
     if not ns:
-        raise ValueError(f"--n-list {text!r}: no sizes given")
+        raise argparse.ArgumentTypeError(f"{text!r}: no sizes given")
     return ns
-
-
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    if args.beta is not None and args.beta_range:
-        raise ValueError("give --beta or --beta-range, not both")
-    if args.B is not None and args.B_range:
-        raise ValueError("give --B or --B-range, not both")
-    if args.n is not None and args.n_list:
-        raise ValueError("give --n or --n-list, not both")
-    if args.out:
-        # checked before any work, so a bad path is a usage error, not a failed check
-        if os.path.isdir(args.out):
-            raise ValueError(f"--out {args.out!r} is a directory; name a file")
-        if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-            raise ValueError(f"--out {args.out!r}: its directory does not exist")
-    betas: tuple[float, ...] = ()
-    if args.beta is not None:
-        betas = (args.beta,)
-    elif args.beta_range:
-        betas = _parse_range(args.beta_range, "--beta-range")
-    Bs: tuple[float, ...] = ()
-    if args.B is not None:
-        Bs = (args.B,)
-    elif args.B_range:
-        Bs = _parse_range(args.B_range, "--B-range")
-    ns: tuple[int, ...] = ()
-    if args.n is not None:
-        ns = (args.n,)
-    elif args.n_list:
-        ns = _parse_nlist(args.n_list)
-    return RunConfig(
-        command=args.command,
-        d=args.d,
-        betas=betas,
-        Bs=Bs,
-        ns=ns,
-        cache_dir=args.cache_dir,
-        out=args.out,
-        fmt=args.format,
-        suite=args.suite,
-    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,17 +100,18 @@ def _parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification suite, emit a JSON report")
     v.add_argument("--suite", required=True, choices=SUITES)
     for sp in (g, t, v):
-        # the flags a subcommand does not take read as unset
-        sp.set_defaults(beta=None, beta_range=None, B=None, B_range=None, format="csv", suite=None)
-        sp.add_argument("--d", type=int, default=3, help="graph degree (default 3)")
+        sp.add_argument("--d", type=_degree, default=3, help="graph degree (default 3)")
     for sp in (g, t):
-        sp.add_argument("--beta", type=float, help="inverse temperature")
-        sp.add_argument("--beta-range", help="linear scan start:stop:steps")
-    t.add_argument("--B", type=float, help="external field")
-    t.add_argument("--B-range", help="linear scan start:stop:steps")
+        beta = sp.add_mutually_exclusive_group(required=True)
+        beta.add_argument("--beta", dest="betas", type=_point, help="inverse temperature")
+        beta.add_argument("--beta-range", dest="betas", type=_range, help="linear scan start:stop:steps")
+    field = t.add_mutually_exclusive_group()
+    field.add_argument("--B", dest="Bs", type=_point, default=(0.0,), help="external field (default 0)")
+    field.add_argument("--B-range", dest="Bs", type=_range, default=(0.0,), help="linear scan start:stop:steps")
     for sp in (g, t, v):
-        sp.add_argument("--n", type=int, help="number of vertices")
-        sp.add_argument("--n-list", help="comma-separated vertex counts")
+        size = sp.add_mutually_exclusive_group()
+        size.add_argument("--n", dest="ns", type=_size, default=(), help="number of vertices")
+        size.add_argument("--n-list", dest="ns", type=_sizes, default=(), help="comma-separated vertex counts")
         sp.add_argument("--cache-dir", help="directory for weight-table caching")
         sp.add_argument("--out", help="output path (default: stdout)")
     for sp in (g, t):
@@ -198,8 +153,8 @@ def _write(out: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_rows(cfg: RunConfig, header: tuple[str, ...], rows: list[tuple]) -> None:
-    if cfg.fmt == "json":
+def _emit_rows(cfg: argparse.Namespace, header: tuple[str, ...], rows: list[tuple]) -> None:
+    if cfg.format == "json":
         payload = {"columns": list(header), "rows": [[_as_py(v) for v in row] for row in rows]}
         _write(cfg.out, json.dumps(payload, indent=2) + "\n")
     else:
@@ -219,38 +174,29 @@ def _sibling(out: str, name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; each takes the namespace main parsed
 
 
-def cmd_gtable(cfg: RunConfig) -> int:
+def cmd_gtable(cfg: argparse.Namespace) -> int:
     if len(cfg.ns) != 1 or len(cfg.betas) != 1:
         raise ValueError("gtable needs exactly one --n and one --beta")
-    n, beta = cfg.ns[0], cfg.betas[0]
+    (n,), (beta,) = cfg.ns, cfg.betas
     table = matching.log_g_table(cfg.d, n, beta, cache_dir=cfg.cache_dir)
-    if cfg.fmt == "json":
-        payload = {
-            "d": cfg.d,
-            "n": n,
-            "beta": beta,
-            "log_g": [float(v) for v in table.values],
-        }
+    if cfg.format == "json":
+        payload = {"d": cfg.d, "n": n, "beta": beta, "log_g": [float(v) for v in table.values]}
         _write(cfg.out, json.dumps(payload, indent=2) + "\n")
     else:
-        lines = ["j,log_g"] + [f"{j},{float(v)!r}" for j, v in enumerate(table.values)]
-        _write(cfg.out, "\n".join(lines) + "\n")
+        _emit_rows(cfg, ("j", "log_g"), list(enumerate(table.values)))
     return 0
 
 
-def cmd_thermo(cfg: RunConfig) -> int:
-    if not cfg.betas:
-        raise ValueError("thermo needs --beta or --beta-range")
-    Bs = cfg.Bs or (0.0,)
+def cmd_thermo(cfg: argparse.Namespace) -> int:
     if cfg.ns:
         header = ("n", "beta", "B", "psi_n", "M_n", "chi_n")
 
         def work(n, b):
             table = finiten.build_table(cfg.d, n, b, cache_dir=cfg.cache_dir)
-            laws = (finiten.spin_law(table, B) for B in Bs)
+            laws = (finiten.spin_law(table, B) for B in cfg.Bs)
             return [(n, b, law.B, law.psi, law.M, law.chi) for law in laws]
 
         rows = [row for n in cfg.ns for b in cfg.betas for row in work(n, b)]
@@ -268,19 +214,17 @@ def cmd_thermo(cfg: RunConfig) -> int:
                 return (b, B, nan, nan, nan, nan, nan)
             return (b, B, tp.psi, tp.M, tp.chi, tp.C, tp.t_hat)
 
-        rows = [work(b, B) for b in cfg.betas for B in Bs]
+        rows = [work(b, B) for b in cfg.betas for B in cfg.Bs]
     _emit_rows(cfg, header, rows)
     return 0
 
 
-def cmd_verify(cfg: RunConfig, suite: str) -> int:
-    if suite not in _SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    checks = _SUITES[suite](cfg)
+def cmd_verify(cfg: argparse.Namespace) -> int:
+    checks = _SUITES[cfg.suite](cfg)
     if cfg.out:
         _write_siblings(cfg, checks)
     report = {
-        "suite": suite,
+        "suite": cfg.suite,
         "d": cfg.d,
         "checks": checks,
         "pass": bool(all(c["pass"] for c in checks)),
@@ -289,7 +233,7 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
     return 0 if report["pass"] else 1
 
 
-def _write_siblings(cfg: RunConfig, checks: list[dict]) -> None:
+def _write_siblings(cfg: argparse.Namespace, checks: list[dict]) -> None:
     """scan.csv from scaling_limit, spinlaw.csv from critical_window's largest n."""
     for c in checks:
         if c["check"] == "scaling_limit":
@@ -304,7 +248,7 @@ def _write_siblings(cfg: RunConfig, checks: list[dict]) -> None:
             finiten.write_spinlaw_csv(finiten.spin_law(table), _sibling(cfg.out, "spinlaw.csv"))
 
 
-def _sizes(cfg: RunConfig) -> tuple:
+def _given_sizes(cfg: argparse.Namespace) -> tuple:
     """--n/--n-list as a positional argument, or none so the check's default sizes apply."""
     return (cfg.ns,) if cfg.ns else ()
 
@@ -315,21 +259,34 @@ _SUITES = {
     "taylor": lambda cfg: [criticality.taylor_check(cfg.d)],
     "exponents": lambda cfg: criticality.exponent_checks(cfg.d),
     "jump": lambda cfg: [criticality.specific_heat_jump(cfg.d)],
-    "scaling": lambda cfg: [criticality.scaling_limit_check(cfg.d, *_sizes(cfg), cache_dir=cfg.cache_dir)],
-    "finiten": lambda cfg: finiten.finite_size_checks(cfg.d, *_sizes(cfg), cache_dir=cfg.cache_dir),
+    "scaling": lambda cfg: [criticality.scaling_limit_check(cfg.d, *_given_sizes(cfg), cache_dir=cfg.cache_dir)],
+    "finiten": lambda cfg: finiten.finite_size_checks(cfg.d, *_given_sizes(cfg), cache_dir=cfg.cache_dir),
     "matching": lambda cfg: [matching.pairing_law_exact(), matching.table_identities(cfg.cache_dir)],
 }
 SUITES = tuple(_SUITES)
+_SIZED_SUITES = ("scaling", "finiten")  # the suites that read --n/--n-list
+_PARSER = _parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = _build_config(_parser().parse_args(argv))
+        cfg = _PARSER.parse_args(argv)
+        for n in cfg.ns:
+            if cfg.d * n % 2:
+                raise ValueError(f"d*n = {cfg.d}*{n} is odd: the pairing model needs d*n even")
+        if cfg.command == "verify" and cfg.ns and cfg.suite not in _SIZED_SUITES:
+            raise ValueError(f"unrecognized arguments: --n/--n-list (suite {cfg.suite} reads no sizes)")
+        if cfg.out:
+            # checked before any work, so a bad path is a usage error, not a failed check
+            if os.path.isdir(cfg.out):
+                raise ValueError(f"--out {cfg.out!r} is a directory; name a file")
+            if not os.path.isdir(os.path.dirname(os.path.abspath(cfg.out))):
+                raise ValueError(f"--out {cfg.out!r}: its directory does not exist")
         if cfg.command == "gtable":
             return cmd_gtable(cfg)
         if cfg.command == "thermo":
             return cmd_thermo(cfg)
-        return cmd_verify(cfg, cfg.suite)
+        return cmd_verify(cfg)
     except SystemExit as exc:  # --help
         return int(exc.code) if exc.code else 0
     except ValueError as exc:

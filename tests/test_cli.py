@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from annealed_ising import ModelParams, build_table, critical_beta, spin_law, thermo_point
+from annealed_ising import ModelParams, build_table, cli, critical_beta, spin_law, thermo_point
 from annealed_ising.cli import main
 from annealed_ising.matching import cache_path
 from test_thermo import _golden_section_pressure
@@ -186,6 +186,11 @@ def test_flag_conflicts_are_usage_errors():
         ["gtable", "--d", "3", "--n", "10", "--beta", "0.5", "--seed", "4"],
         ["thermo", "--d", "3", "--beta", "0.3", "--seed", "4"],
         ["verify", "--suite", "matching", "--d", "3", "--seed", "1"],
+        # sizes are read only by the scaling and finiten suites
+        ["verify", "--suite", "taylor", "--d", "3", "--n-list", "10,20"],
+        ["verify", "--suite", "exponents", "--d", "3", "--n-list", "10,20"],
+        ["verify", "--suite", "jump", "--d", "3", "--n-list", "10,20"],
+        ["verify", "--suite", "matching", "--d", "3", "--n-list", "10,20"],
     ],
 )
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
@@ -205,6 +210,11 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
         ["thermo", "--d", "3", "--beta", "nan"],
         ["thermo", "--d", "3", "--beta-range", "0:inf:3"],
         ["verify", "--suite", "taylor", "--d", "3", "--beta", "nan"],
+        # a negative one is rejected by the same check
+        ["thermo", "--d", "3", "--beta", "-0.1"],
+        ["thermo", "--d", "3", "--beta", "0.3", "--B", "-1"],
+        ["thermo", "--d", "3", "--beta-range", "-0.2:0.4:3"],
+        ["gtable", "--d", "3", "--n", "4", "--beta", "-0.5"],
     ],
 )
 def test_non_finite_beta_or_field_is_a_usage_error(argv, capsys):
@@ -212,6 +222,24 @@ def test_non_finite_beta_or_field_is_a_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_the_shared_parser_carries_nothing_between_calls(capsys):
+    """The parser is built once; a flag given in one call must not stay set in the next."""
+    assert main(["thermo", "--d", "3", "--beta", "0.4", "--B", "0.3"]) == 0
+    capsys.readouterr()
+    assert main(["thermo", "--d", "3", "--beta", "0.4"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["B"] == "0.0"
+    assert main(["thermo", "--d", "3", "--n", "100", "--beta", "0.4"]) == 0
+    assert capsys.readouterr().out.startswith("n,beta,B,psi_n,M_n,chi_n\n")
+    assert main(["thermo", "--d", "3", "--beta", "0.4"]) == 0
+    assert capsys.readouterr().out.startswith("beta,B,psi,M,chi,C,t_hat\n")
+
+
+def test_main_reuses_the_parser_built_at_import(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_parser", lambda: pytest.fail("main built a parser"))
+    assert main(["thermo", "--d", "3", "--beta", "0.4"]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,6 @@ from annealed_ising.matching import CACHE_ENV, _header, _record, cache_path
 # exact laws
 
 
-def test_closed_form_matches_enumeration_everywhere():
-    for m in range(0, 13, 2):
-        for k in range(0, m + 1):
-            exact = brute_force_law(k, m)
-            closed = cross_count_law(k, m)
-            assert set(closed) == set(exact), (k, m)
-            for x, p in exact.items():
-                assert math.log(closed[x]) == pytest.approx(math.log(p), abs=1e-12), (k, m, x)
-
-
 @pytest.mark.parametrize(
     "k,m,expected",
     [
