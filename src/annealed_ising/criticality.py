@@ -103,10 +103,15 @@ class ScalingLimit:
                 return math.fsum(terms)
 
 
+def _require_critical_point(d: int) -> None:
+    """beta_c = atanh(1/(d-1)) is finite only for d >= 3."""
+    if d < 3:
+        raise ValueError(f"d={d}: the critical point needs d >= 3")
+
+
 def scaling_limit(d: int) -> ScalingLimit:
     """Limit law of S_n / n^{3/4} at (beta_c, B=0)."""
-    if d < 3:
-        raise ValueError(f"d={d}: the quartic limit needs d >= 3")
+    _require_critical_point(d)
     a = (d - 1.0) * (d - 2.0) / (12.0 * d * d)
     return ScalingLimit(
         d=d,
@@ -203,6 +208,7 @@ def taylor_check(d: int) -> dict:
     The expansion is taken at beta_c(d), the one temperature at which the
     low-order terms vanish.
     """
+    _require_critical_point(d)
     h = _STEP
     c = math.exp(-2.0 * critical_beta(d))
     gvals, fvals = _increments(d, c, h)
@@ -247,6 +253,7 @@ def _loglog_fit(grid: np.ndarray, values: np.ndarray) -> tuple[float, float]:
 
 def fit_exponent_beta(d: int) -> ExponentFit:
     """Spontaneous magnetization onset: M ~ A (beta - beta_c)^{1/2}."""
+    _require_critical_point(d)
     bc = critical_beta(d)
     grid = np.geomspace(1e-7, 1e-3, 8)
     vals = np.array([thermo_point(ModelParams(d, bc + dl, 0.0)).M for dl in grid])
@@ -257,6 +264,7 @@ def fit_exponent_beta(d: int) -> ExponentFit:
 
 def fit_exponent_delta(d: int) -> ExponentFit:
     """Critical isotherm: M(beta_c, B) ~ A B^{1/3}."""
+    _require_critical_point(d)
     bc = critical_beta(d)
     grid = np.geomspace(1e-9, 1e-4, 8)
     vals = np.array([thermo_point(ModelParams(d, bc, B)).M for B in grid])
@@ -268,6 +276,7 @@ def fit_exponent_delta(d: int) -> ExponentFit:
 
 def fit_exponent_gamma(d: int, side: str) -> ExponentFit:
     """Susceptibility divergence chi ~ A |beta - beta_c|^{-1} on either side."""
+    _require_critical_point(d)
     if side not in ("below", "above"):
         raise ValueError(f"side={side!r}: expected 'below' or 'above'")
     bc = critical_beta(d)
@@ -327,6 +336,7 @@ def specific_heat_jump(d: int) -> dict:
     C is analytic in the offset on each side, so the two finest offsets
     determine the limit to O(1e-9), far inside the 1e-3 comparison.
     """
+    _require_critical_point(d)
     bc = critical_beta(d)
     deltas = (1e-3, 1e-4, 1e-5)
     below = [thermo_point(ModelParams(d, bc - dl, 0.0)).C for dl in deltas]
@@ -419,14 +429,12 @@ def scaling_limit_check(
     limit = scaling_limit(d)
     bc = critical_beta(d)
     m2s, m4s, kss = [], [], []
-    table = None
     for n in n_list:
-        table = build_table(d, n, bc, cache_dir=cache_dir)
-        law = spin_law(table, 0.0)
+        law = spin_law(build_table(d, n, bc, cache_dir=cache_dir), 0.0)
         m2s.append(law.moment(2) / n**1.5)
         m4s.append(law.moment(4) / n**3.0)
         kss.append(_ks_distance(law, limit))
-    mgf_est = {r: mgf_scaled(table, r) for r in rs}
+    mgf_est = {r: mgf_scaled(law, r) for r in rs}  # the law at the largest n
     mgf_target = {r: limit.mgf(r) for r in rs}
 
     gaps = [abs(m - limit.moment4) for m in m4s]

@@ -10,7 +10,10 @@ query time as a tilt 2 B j, which keeps one table reusable across a field
 scan. `spin_law(table, B)` is the one evaluation at a field: it tilts the
 weights, exponentiates them once and carries the law of S = 2j - n with
 psi_n = beta d/2 - B + (1/n) log sum_j x_j e^{2Bj}, M_n = E[S]/n and
-chi_n = Var(S)/n. The checks of the `finiten` verify suite sit at the end.
+chi_n = Var(S)/n. Every other finite-n number takes that law and sums
+against its masses: the pressure increment, the scaled mgf and the
+critical-window truncation. The checks of the `finiten` verify suite sit at
+the end.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ __all__ = [
 
 # mgf gap outside the critical window that truncation_check and critical_window accept
 _MGF_GAP_TOL = 1e-8
-# (beta, B) at which pressure_gap_shrinks and derivative_consistency share tables
+# (beta, B) at which pressure_gap_shrinks and derivative_consistency share laws
 _BETA_GAP, _B_GAP = 0.4, 0.1
 # np.exp rounds every argument below log(2^-1075) = -745.133 to exactly 0.0, and
 # is ~10x slower on such lanes than on the rest, so _shifted_exp never evaluates them
@@ -64,11 +67,6 @@ class LogWeightTable:
         if len(self.log_x) != self.n + 1:
             raise ValueError(f"log_x has {len(self.log_x)} entries, expected n+1={self.n + 1}")
 
-    @functools.cached_property
-    def log_norm(self) -> float:
-        """log sum_j x_j, the B = 0 normaliser (computed once per table)."""
-        return _lse(self.log_x)
-
 
 @dataclass(frozen=True)
 class SpinLaw:
@@ -82,8 +80,7 @@ class SpinLaw:
     d: int
     beta: float
     B: float
-    log_mass: np.ndarray  # w - z for the tilted log-weights w: LSE(log_mass) = 0
-    masses: np.ndarray  # e / sum(e), e = exp(w - max w); within a few ulp of exp(log_mass)
+    masses: np.ndarray  # e / sum(e), e = exp(w - max w) for the tilted log-weights w
     psi: float
     M: float
     chi: float
@@ -141,11 +138,6 @@ def _shifted_exp(v: np.ndarray) -> tuple[float, np.ndarray]:
     return top, e
 
 
-def _lse(v: np.ndarray) -> float:
-    top, e = _shifted_exp(v)
-    return top + math.log(float(np.sum(e)))
-
-
 def build_table(d: int, n: int, beta: float, cache_dir: str | None = None) -> LogWeightTable:
     """Assemble log x_j = log C(n, j) + log g(d j, d n)."""
     gtable = log_g_table(d, n, beta, cache_dir=cache_dir)
@@ -154,21 +146,6 @@ def build_table(d: int, n: int, beta: float, cache_dir: str | None = None) -> Lo
     log_x = lbinom + np.asarray(gtable.values, dtype=np.float64)
     log_x.setflags(write=False)
     return LogWeightTable(n=n, d=d, beta=beta, log_x=log_x)
-
-
-def finite_pressure_increment(table: LogWeightTable, B: float, dB: float) -> float:
-    """psi_n(B + dB) - psi_n(B), evaluated without differencing.
-
-    Equal to (1/n) log E[e^{2 dB j}] - dB under the B-tilted law; the two
-    pressures share every digit for small dB, so subtracting the evaluated
-    values would lose ~5 digits that this form keeps.
-    """
-    if not math.isfinite(B):
-        raise ValueError(f"B={B}: need a finite field")
-    j = _spin_grid(table.n)[0]
-    _, p = _shifted_exp(table.log_x + 2.0 * B * j)
-    p /= np.sum(p)
-    return math.log(float(np.sum(p * np.exp(2.0 * dB * j)))) / table.n - dB
 
 
 def spin_law(table: LogWeightTable, B: float = 0.0) -> SpinLaw:
@@ -195,33 +172,43 @@ def spin_law(table: LogWeightTable, B: float = 0.0) -> SpinLaw:
     sq = s - mean
     sq *= sq
     chi = float(np.sum(masses * sq)) / n
-    w -= z  # the log-masses
-    w.setflags(write=False)
     masses.setflags(write=False)
     psi = table.beta * table.d / 2.0 - B + z / n
-    return SpinLaw(
-        n=n, d=table.d, beta=table.beta, B=B, log_mass=w, masses=masses, psi=psi, M=mean / n, chi=chi
-    )
+    return SpinLaw(n=n, d=table.d, beta=table.beta, B=B, masses=masses, psi=psi, M=mean / n, chi=chi)
 
 
-def mgf_scaled(table: LogWeightTable, r: float) -> float:
-    """E[exp(r S / n^{3/4})] at B = 0; the critical-window transform.
+def finite_pressure_increment(law: SpinLaw, dB: float) -> float:
+    """psi_n(B + dB) - psi_n(B) at the law's field B, evaluated without differencing.
 
-    |r| <= 10 keeps the tilt well inside the table's dynamic range.
+    Equal to (1/n) log E[e^{2 dB j}] - dB under the law; the two pressures
+    share every digit for small dB, so subtracting the evaluated values
+    would lose ~5 digits that this form keeps.
+    """
+    if not math.isfinite(dB):
+        raise ValueError(f"dB={dB}: need a finite field step")
+    j = _spin_grid(law.n)[0]
+    return math.log(float(np.sum(law.masses * np.exp(2.0 * dB * j)))) / law.n - dB
+
+
+def mgf_scaled(law: SpinLaw, r: float) -> float:
+    """E[exp(r S / n^{3/4})] under the law; at (beta_c, B = 0) the critical-window transform.
+
+    A sum of masses against e^{r s / n^{3/4}} <= e^{10 n^{1/4}}, which
+    |r| <= 10 keeps finite for n below 2.5e7.
     """
     if not abs(r) <= 10.0:  # written so that nan is rejected too
         raise ValueError(f"r={r}: need a finite scaled tilt with |r| <= 10")
     if r == 0.0:
         return 1.0
-    shift = r * _spin_grid(table.n)[1] / table.n**0.75
-    return math.exp(_lse(table.log_x + shift) - table.log_norm)
+    shift = r * _spin_grid(law.n)[1] / law.n**0.75
+    return float(np.sum(law.masses * np.exp(shift)))
 
 
-def truncation_check(table: LogWeightTable) -> TruncationReport:
+def truncation_check(law: SpinLaw) -> TruncationReport:
     """Mass and mgf error at r = 1 outside the window |j - n/2| <= n^{5/6}.
 
     Only meaningful at the critical point, where the law's width is n^{3/4};
-    requires the table's beta to be exactly critical_beta(d). The window
+    requires the law to be at B = 0 and exactly critical_beta(d). The window
     edge is |S|/n^{3/4} = 2 n^{1/12}, beyond which the quartic limit
     law's tail decays like exp(-16 a n^{1/3}), a = (d-1)(d-2)/(12 d^2).
 
@@ -231,21 +218,19 @@ def truncation_check(table: LogWeightTable) -> TruncationReport:
     below n^{-4} only near n ~ 1e7, and `passed` is False at every size the
     tests and reports use.
     """
-    if table.beta != critical_beta(table.d):
+    if law.beta != critical_beta(law.d) or law.B != 0.0:
         raise ValueError(
-            f"truncation bounds hold at beta_c={critical_beta(table.d)!r} only, "
-            f"table has beta={table.beta!r}"
+            f"truncation bounds hold at beta_c={critical_beta(law.d)!r} and B=0 only, "
+            f"law has beta={law.beta!r}, B={law.B!r}"
         )
-    full = mgf_scaled(table, 1.0)
-    n = table.n
+    full = mgf_scaled(law, 1.0)
+    n = law.n
     w = n ** (5.0 / 6.0)
     j, s = _spin_grid(n)
     inside = np.abs(j - n // 2) <= w
-    law = spin_law(table, 0.0)
     tail = float(np.sum(law.masses[~inside]))
-
-    shift = s / n**0.75
-    windowed = math.exp(_lse(table.log_x[inside] + shift[inside]) - _lse(table.log_x[inside]))
+    kept = law.masses[inside]
+    windowed = float(np.sum(kept * np.exp(s[inside] / n**0.75))) / float(np.sum(kept))
     gap = abs(full - windowed)
 
     bound = float(n) ** -4.0
@@ -278,20 +263,20 @@ def write_spinlaw_csv(law: SpinLaw, path: str) -> None:
 def finite_size_checks(
     d: int, ns: tuple[int, ...] = (250, 500, 1000), cache_dir: str | None = None
 ) -> list[dict]:
-    """The four checks below, on tables built once each.
+    """The four checks below, on tables and laws built once each.
 
     The free-spin forms use the first size; derivative_consistency reuses the
-    n = 500 table of the pressure gaps (else the largest); the critical window,
+    n = 500 law of the pressure gaps (else the largest); the critical window,
     only for d >= 3, takes the sizes >= 200 (else 500 and 1000).
     """
     checks = [free_spin_closed_forms(build_table(d, ns[0], 0.0, cache_dir=cache_dir))]
-    tables = {n: build_table(d, n, _BETA_GAP, cache_dir=cache_dir) for n in ns}
-    checks.append(pressure_gap_shrinks([tables[n] for n in ns]))
-    checks.append(derivative_consistency(tables[500 if 500 in ns else max(ns)]))
+    laws = {n: spin_law(build_table(d, n, _BETA_GAP, cache_dir=cache_dir), _B_GAP) for n in ns}
+    checks.append(pressure_gap_shrinks([laws[n] for n in ns]))
+    checks.append(derivative_consistency(laws[500 if 500 in ns else max(ns)]))
     if d >= 3:
         bc = critical_beta(d)
         ns_c = tuple(n for n in ns if n >= 200) or (500, 1000)
-        checks.append(critical_window([build_table(d, n, bc, cache_dir=cache_dir) for n in ns_c]))
+        checks.append(critical_window([spin_law(build_table(d, n, bc, cache_dir=cache_dir)) for n in ns_c]))
     return checks
 
 
@@ -318,15 +303,15 @@ def free_spin_closed_forms(table: LogWeightTable) -> dict:
     }
 
 
-def pressure_gap_shrinks(tables: list[LogWeightTable]) -> dict:
-    """|psi_n - psi| at B = 0.1 must fall strictly from each table to the next."""
-    d = tables[0].d
-    psi_inf = thermo_point(ModelParams(d, tables[0].beta, _B_GAP)).psi
-    gaps = [abs(spin_law(t, _B_GAP).psi - psi_inf) for t in tables]
+def pressure_gap_shrinks(laws: list[SpinLaw]) -> dict:
+    """|psi_n - psi| at the first law's (beta, B) must fall strictly from each law to the next."""
+    d = laws[0].d
+    psi_inf = thermo_point(ModelParams(d, laws[0].beta, laws[0].B)).psi
+    gaps = [abs(law.psi - psi_inf) for law in laws]
     return {
         "check": "pressure_gap_shrinks",
         "d": d,
-        "grid": [t.n for t in tables],
+        "grid": [law.n for law in laws],
         "estimates": {"psi_gap": gaps},
         "targets": {"psi_limit": psi_inf},
         "tolerances": {"monotone": True},
@@ -334,20 +319,19 @@ def pressure_gap_shrinks(tables: list[LogWeightTable]) -> dict:
     }
 
 
-def derivative_consistency(table: LogWeightTable) -> dict:
-    """Exact M_n and chi_n at B = 0.1 against central differences of psi_n, to 1e-6."""
+def derivative_consistency(law: SpinLaw) -> dict:
+    """Exact M_n and chi_n at the law's field against central differences of psi_n, to 1e-6."""
     h, tol = 1e-5, 1e-6
-    dp = finite_pressure_increment(table, _B_GAP, h)
-    dm = finite_pressure_increment(table, _B_GAP, -h)
-    law = spin_law(table, _B_GAP)
+    dp = finite_pressure_increment(law, h)
+    dm = finite_pressure_increment(law, -h)
     gaps = {
         "M_fd_gap": abs((dp - dm) / (2.0 * h) - law.M),
         "chi_fd_gap": abs((dp + dm) / (h * h) - law.chi),
     }
     return {
         "check": "derivative_consistency",
-        "d": table.d,
-        "grid": [table.n],
+        "d": law.d,
+        "grid": [law.n],
         "estimates": gaps,
         "targets": dict.fromkeys(gaps, 0.0),
         "tolerances": {"abs": tol},
@@ -355,14 +339,14 @@ def derivative_consistency(table: LogWeightTable) -> dict:
     }
 
 
-def critical_window(tables: list[LogWeightTable]) -> dict:
-    """truncation_check on each beta_c table; the tail mass must also fall with n."""
-    reports = [truncation_check(t) for t in tables]
+def critical_window(laws: list[SpinLaw]) -> dict:
+    """truncation_check on each law at (beta_c, B = 0); the tail mass must also fall with n."""
+    reports = [truncation_check(law) for law in laws]
     tails = [r.tail_mass for r in reports]
     decreasing = all(tails[i + 1] < tails[i] for i in range(len(tails) - 1))
     return {
         "check": "critical_window",
-        "d": tables[0].d,
+        "d": laws[0].d,
         "grid": [r.n for r in reports],
         "estimates": {"tail_mass": tails, "mgf_gap": [r.mgf_gap for r in reports]},
         "targets": {"tail_bound": [r.tail_bound for r in reports], "mgf_gap": 0.0},

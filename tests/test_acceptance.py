@@ -294,7 +294,7 @@ def test_c5_scaled_transform(get_table, r):
     not promised for r >= 1. The n^{-1/2} series fitted through the four
     sizes lands 7e-7, 1.7e-5 and 6.5e-4 relative from the limit law's mgf.
     """
-    values = [mgf_scaled(get_table(3, n, BC3), r) for n in C5_SIZES]
+    values = [mgf_scaled(spin_law(get_table(3, n, BC3)), r) for n in C5_SIZES]
     limit = _sqrt_n_limit(values)
     target = scaling_limit(3).mgf(r)
     assert abs(limit - target) <= 2e-3 * abs(target), (r, limit, target, values)
@@ -320,11 +320,10 @@ def test_c5_runtime(scaling_report):
 def test_c6_derivatives_match_differences(get_table):
     """M_n and chi_n vs central differences of psi_n: within 1e-6 at
     (d=3, beta=0.4, B=0.1, n=500)."""
-    t = get_table(3, 500, 0.4)
     B, h = 0.1, 1e-5
-    up = finite_pressure_increment(t, B, h)
-    dn = finite_pressure_increment(t, B, -h)
-    law = spin_law(t, B)
+    law = spin_law(get_table(3, 500, 0.4), B)
+    up = finite_pressure_increment(law, h)
+    dn = finite_pressure_increment(law, -h)
     assert abs(law.M - (up - dn) / (2.0 * h)) <= 1e-6
     assert abs(law.chi - (up + dn) / (h * h)) <= 1e-6
 
@@ -353,7 +352,7 @@ def test_c6_free_spin_closed_forms():
 @pytest.fixture(scope="module")
 def truncation_reports(get_table):
     t0 = time.monotonic()
-    reps = {n: truncation_check(get_table(3, n, BC3)) for n in (500, 1000)}
+    reps = {n: truncation_check(spin_law(get_table(3, n, BC3))) for n in (500, 1000)}
     return reps, time.monotonic() - t0
 
 

@@ -224,6 +224,14 @@ def test_non_finite_beta_or_field_is_a_usage_error(argv, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("suite", ["taylor", "exponents", "jump", "scaling"])
+def test_a_critical_point_suite_at_d_2_is_a_usage_error(suite, capsys):
+    assert main(["verify", "--suite", suite, "--d", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: d=2: the critical point needs d >= 3\n"
+
+
 def test_the_shared_parser_carries_nothing_between_calls(capsys):
     """The parser is built once; a flag given in one call must not stay set in the next."""
     assert main(["thermo", "--d", "3", "--beta", "0.4", "--B", "0.3"]) == 0

@@ -129,6 +129,24 @@ def test_taylor_check_passes(d):
     assert est["dF4"] == pytest.approx(tgt["dF4"], rel=1e-4)
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        taylor_check,
+        fit_exponent_beta,
+        fit_exponent_delta,
+        lambda d: fit_exponent_gamma(d, "above"),
+        specific_heat_jump,
+        scaling_limit,
+    ],
+)
+def test_the_critical_point_needs_d_at_least_3(check):
+    # beta_c = atanh(1/(d-1)) is infinite at d = 2 and undefined at d = 1
+    for d in (1, 2):
+        with pytest.raises(ValueError, match=f"d={d}: the critical point needs d >= 3"):
+            check(d)
+
+
 def _phi_40_digits(u: float) -> float:
     """-(1/2 - u) ln(1 - 2u) - (1/2 + u) ln(1 + 2u) in 40-digit decimal arithmetic."""
     with decimal.localcontext() as ctx:

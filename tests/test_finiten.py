@@ -106,25 +106,36 @@ def _decimal_law(w):
     return js, x, m, float(mean), float(var)
 
 
+_U = 2.0**-53
+
+
+def _mass_rounding(n, x, m):
+    """Pairwise-sum depth and the first-order relative error of each of spin_law's masses.
+
+    Each mass e_j / sum(e) carries the rounding of x_j = w_j - max w (u |x_j|),
+    of exp (within 2 ulp, 4u) and of the division (u), plus one error common
+    to all lanes: the sum of e, whose depth numpy's pairwise sum keeps
+    <= 16 + 3 + log2(n) (eight accumulators of 16 terms per 128-block, then
+    pairs), and the lane errors that sum collects. u = 2^-53.
+    """
+    u = _U
+    depth = 19 + math.ceil(math.log2(n + 1))
+    common = float(np.sum(m * (u * np.abs(x) + 4 * u))) + depth * u
+    return depth, u * np.abs(x) + 5 * u + common
+
+
 def _spin_law_error_bounds(n, js, x, m, mean, var):
     """First-order bounds on |M_n - M| and |chi_n - chi| / chi from spin_law's float steps.
 
-    Computed from the oracle's law only, with u = 2^-53. Each mass e_j / sum(e)
-    carries the rounding of x_j = w_j - max w (u |x_j|), of exp (within 2 ulp,
-    4u) and of the division (u), plus one error common to all lanes: the sum
-    of e, whose depth numpy's pairwise sum keeps <= 16 + 3 + log2(n) (eight
-    accumulators of 16 terms per 128-block, then pairs), and the lane errors
-    that sum collects. M_n adds a product per lane, the sum of signed terms
-    (depth u sum m|s|) and its /n, so relative to |M| its bound scales with
-    sum m|s| / |sum m s|. chi_n sums non-negative terms: s - mean, its square,
-    the product, the sum and /n add (depth + 6) u, and the mean's own error
-    enters at second order.
+    Computed from the oracle's law only, on the mass errors of _mass_rounding.
+    M_n adds a product per lane, the sum of signed terms (depth u sum m|s|)
+    and its /n, so relative to |M| its bound scales with sum m|s| / |sum m s|.
+    chi_n sums non-negative terms: s - mean, its square, the product, the sum
+    and /n add (depth + 6) u, and the mean's own error enters at second order.
     """
-    u = 2.0**-53
+    u = _U
     s = 2.0 * js - n
-    depth = 19 + math.ceil(math.log2(n + 1))
-    common = float(np.sum(m * (u * np.abs(x) + 4 * u))) + depth * u
-    rho = u * np.abs(x) + 5 * u + common
+    depth, rho = _mass_rounding(n, x, m)
     weight = m * np.abs(s)
     dmu = float(np.sum(weight * (rho + u))) + depth * u * float(np.sum(weight)) + 2 * u * abs(mean)
     dev = s - mean
@@ -146,8 +157,48 @@ def test_magnetization_and_susceptibility_match_the_decimal_oracle(get_table, be
     assert abs(law.chi - var / n) <= rel_chi * (var / n)
 
 
+def _decimal_mgf(w, r, inside):
+    """E[exp(r S / n^{3/4}) | j in the window] under log-weights w, in 40-digit decimal.
+
+    Sums the exact float inputs against the exact n^{3/4} (two correctly
+    rounded square roots of n^3), leaving out the lanes _decimal_law does.
+    """
+    n = len(w) - 1
+    top = float(np.max(w))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        scale = Decimal(r) / (Decimal(n) ** 3).sqrt().sqrt()
+        num = den = Decimal(0)
+        for j in np.flatnonzero(inside & (w - top > -250.0)):
+            e = (Decimal(float(w[j])) - Decimal(top)).exp()
+            num += e * ((2 * int(j) - n) * scale).exp()
+            den += e
+        return float(num / den)
+
+
+def _mgf_error_bound(n, js, x, m, r, inside):
+    """First-order bound on the relative error of sum_in(mass e^y) / sum_in(mass) from its float steps.
+
+    Computed from the oracle's law only, with y = r s / n^{3/4}. Each lane adds
+    to its mass error (_mass_rounding) the rounding of y (r s, the 1-ulp pow
+    n**0.75 and the division: 4u |y|, which exp turns into a relative error),
+    exp (4u) and the product (u); the sum of these positive terms adds depth
+    u. Over a window the sum of masses has the same depth and lane errors, and
+    the division adds u. The full mgf has no such division; the bound keeps
+    it. u more covers the oracle's own rounding to a float.
+    """
+    u = _U
+    depth, rho = _mass_rounding(n, x, m)
+    y = r * (2.0 * js - n) / n**0.75
+    keep = inside[js.astype(np.int64)]
+    me, mk, rk = m[keep] * np.exp(y[keep]), m[keep], rho[keep]
+    num = float(np.sum(me * (rk + 4 * u * np.abs(y[keep]) + 5 * u))) / float(np.sum(me)) + depth * u
+    den = float(np.sum(mk * rk)) / float(np.sum(mk)) + depth * u
+    return num + den + 2 * u
+
+
 def test_exp_is_exactly_zero_below_the_cut():
-    # spin_law and _lse leave lanes below the cut as 0.0 without evaluating
+    # spin_law leaves lanes below the cut as 0.0 without evaluating
     # them; that is bitwise np.exp only if the running numpy returns +0.0 there
     below = np.nextafter(finiten._EXP_CUT, -np.inf)
     args = np.concatenate((np.linspace(-1e4, below, 100_001), [below, -np.inf]))
@@ -174,21 +225,30 @@ def _increment_full(t, B, dB):
     [(8000, 3.0, (0.0, 0.25, 0.5), True), (4000, BC3, (0.0,), False)],
 )
 def test_skipped_lanes_keep_every_query_bitwise(get_table, n, beta, Bs, underflow):
-    # at beta = 3 most lanes of exp(w - max w) underflow to 0, at beta_c none do
+    # at beta = 3 most lanes of exp(w - max w) underflow to 0, at beta_c none do;
+    # psi_n and the increment are bitwise the full-exp forms, the mgfs sit
+    # within the derived bound of the decimal oracle
     t = get_table(3, n, beta)
     j = np.arange(n + 1, dtype=np.float64)
-    s = 2.0 * j - n
     for B in Bs:
         w = t.log_x + 2.0 * B * j
         zeros = np.count_nonzero(np.exp(w - float(np.max(w))) == 0.0)
         assert zeros > n // 2 if underflow else zeros == 0
-        assert finiten._lse(w) == _lse_full(w)
-        assert spin_law(t, B).psi == 3 * beta / 2.0 - B + _lse_full(w) / n
+        law = spin_law(t, B)
+        assert law.psi == 3 * beta / 2.0 - B + _lse_full(w) / n
         for dB in (1e-5, -1e-5, 0.01):
-            assert finite_pressure_increment(t, B, dB) == _increment_full(t, B, dB)
-    for r in (0.5, 1.0, 2.0, -2.0):
-        want = math.exp(_lse_full(t.log_x + r * s / n**0.75) - _lse_full(t.log_x))
-        assert mgf_scaled(t, r) == want
+            assert finite_pressure_increment(law, dB) == _increment_full(t, B, dB)
+    law = spin_law(t)
+    js, x, m = _decimal_law(t.log_x)[:3]
+    everywhere = np.ones(n + 1, dtype=bool)
+    for r in (0.5, 1.0, 2.0, -2.0, 10.0):
+        want = _decimal_mgf(t.log_x, r, everywhere)
+        assert abs(mgf_scaled(law, r) - want) <= _mgf_error_bound(n, js, x, m, r, everywhere) * want, r
+    if beta == BC3:
+        rep = truncation_check(law)
+        inside = np.abs(j - n // 2) <= n ** (5.0 / 6.0)
+        want = _decimal_mgf(t.log_x, 1.0, inside)
+        assert abs(rep.mgf_windowed - want) <= _mgf_error_bound(n, js, x, m, 1.0, inside) * want
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -210,9 +270,8 @@ def test_spin_law_is_symmetric_and_centered(get_table):
     assert law.moment(2) > 0.0
     with pytest.raises(ValueError):
         law.moment(-1)
-    for stored in (law.log_mass, law.masses):
-        with pytest.raises(ValueError):
-            stored[0] = 0.5  # the stored buffers are frozen
+    with pytest.raises(ValueError):
+        law.masses[0] = 0.5  # the stored buffer is frozen
 
 
 def test_tilted_law_mean_matches_magnetization(get_table):
@@ -235,11 +294,11 @@ def test_pressure_gap_to_limit_halves_with_n(get_table):
 def test_increment_based_derivatives_beat_naive_differencing(get_table):
     t = get_table(3, 500, 0.4)
     B, h = 0.1, 1e-5
-    up = finite_pressure_increment(t, B, h)
-    dn = finite_pressure_increment(t, B, -h)
+    law = spin_law(t, B)
+    up = finite_pressure_increment(law, h)
+    dn = finite_pressure_increment(law, -h)
     m_fd = (up - dn) / (2.0 * h)
     chi_fd = (up + dn) / (h * h)
-    law = spin_law(t, B)
     assert law.M == pytest.approx(m_fd, abs=1e-8)
     assert law.chi == pytest.approx(chi_fd, abs=1e-7)
     psi_up, psi_dn = spin_law(t, B + h).psi, spin_law(t, B - h).psi
@@ -252,6 +311,13 @@ def test_increment_based_derivatives_beat_naive_differencing(get_table):
     assert abs(chi_fd - chi) < abs(naive - chi)
 
 
+def test_increment_rejects_a_non_finite_step(get_table):
+    law = spin_law(get_table(3, 100, 0.4), 0.1)
+    for dB in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            finite_pressure_increment(law, dB)
+
+
 def test_offcritical_variance_approaches_chi(get_table):
     # away from the critical point S_n/sqrt(n) is in the Gaussian regime:
     # its variance tends to the limit susceptibility
@@ -262,24 +328,24 @@ def test_offcritical_variance_approaches_chi(get_table):
 
 
 def test_mgf_scaled_basics(get_table):
-    t = get_table(3, 500, BC3)
-    assert mgf_scaled(t, 0.0) == 1.0
+    law = spin_law(get_table(3, 500, BC3))
+    assert mgf_scaled(law, 0.0) == 1.0
     for r in (0.5, 1.0, 2.0):
-        a, b = mgf_scaled(t, r), mgf_scaled(t, -r)
+        a, b = mgf_scaled(law, r), mgf_scaled(law, -r)
         assert a == pytest.approx(b, rel=1e-13)  # the law is symmetric
         assert a > 1.0
-    assert mgf_scaled(t, 0.5) < mgf_scaled(t, 1.0) < mgf_scaled(t, 2.0)
+    assert mgf_scaled(law, 0.5) < mgf_scaled(law, 1.0) < mgf_scaled(law, 2.0)
     for r in (11.0, math.nan, math.inf, -math.inf):  # abs(nan) > 10 is False
         with pytest.raises(ValueError):
-            mgf_scaled(t, r)
+            mgf_scaled(law, r)
 
 
 def test_truncation_report_shape_and_honesty(get_table):
-    t = get_table(3, 250, BC3)
-    rep = truncation_check(t)
+    law = spin_law(get_table(3, 250, BC3))
+    rep = truncation_check(law)
     assert rep.n == 250
     assert rep.window_halfwidth == pytest.approx(250.0 ** (5.0 / 6.0))
-    assert rep.mgf_full == mgf_scaled(t, 1.0)
+    assert rep.mgf_full == mgf_scaled(law, 1.0)
     assert 0.0 < rep.tail_mass < 0.01
     assert rep.tail_bound == 250.0**-4.0
     # at these sizes the tail is far above n^-4; the report must say so
@@ -288,7 +354,7 @@ def test_truncation_report_shape_and_honesty(get_table):
 
 
 def test_truncation_tail_shrinks_with_n(get_table):
-    tails = [truncation_check(get_table(3, n, BC3)).tail_mass for n in (250, 500, 1000)]
+    tails = [truncation_check(spin_law(get_table(3, n, BC3))).tail_mass for n in (250, 500, 1000)]
     assert tails[0] > tails[1] > tails[2] > 0.0
     # regression pins (measured): 3.7104e-3, 2.6028e-3, 1.4457e-3
     assert tails[0] == pytest.approx(3.7104e-3, rel=1e-3)
@@ -298,7 +364,9 @@ def test_truncation_tail_shrinks_with_n(get_table):
 
 def test_truncation_requires_the_critical_table(get_table):
     with pytest.raises(ValueError):
-        truncation_check(get_table(3, 100, 0.4))
+        truncation_check(spin_law(get_table(3, 100, 0.4)))
+    with pytest.raises(ValueError):
+        truncation_check(spin_law(get_table(3, 100, BC3), 0.1))
 
 
 def test_spinlaw_csv_roundtrip(tmp_path, get_table):
@@ -346,6 +414,24 @@ def test_finite_size_checks_read_each_table_once(monkeypatch, cache_dir, d):
         want.update({(250, critical_beta(d)): 1, (500, critical_beta(d)): 1})
     assert reads == want
     assert checks[2]["grid"] == [500]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_finite_size_checks_build_each_law_once(monkeypatch, cache_dir, d):
+    laws = Counter()
+    real = finiten.spin_law
+
+    def counting(table, B=0.0):
+        laws[table.n, table.beta, B] += 1
+        return real(table, B)
+
+    monkeypatch.setattr(finiten, "spin_law", counting)
+    finite_size_checks(d, (250, 500), cache_dir=cache_dir)
+    # the free-spin pair, the beta = 0.4 laws shared by two checks, the beta_c pair
+    want = {(250, 0.0, 0.7): 1, (250, 0.0, 0.0): 1, (250, 0.4, 0.1): 1, (500, 0.4, 0.1): 1}
+    if d >= 3:
+        want.update({(250, critical_beta(d), 0.0): 1, (500, critical_beta(d), 0.0): 1})
+    assert laws == want
 
 
 # ---------------------------------------------------------------------------
