@@ -234,7 +234,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 
 def _write_siblings(cfg: argparse.Namespace, checks: list[dict]) -> None:
-    """scan.csv from scaling_limit, spinlaw.csv from critical_window's largest n."""
+    """scan.csv from scaling_limit; the finiten suite writes its spinlaw.csv itself."""
     for c in checks:
         if c["check"] == "scaling_limit":
             est = c["estimates"]
@@ -242,10 +242,6 @@ def _write_siblings(cfg: argparse.Namespace, checks: list[dict]) -> None:
             lines = ["n,moment2,moment4,ks_distance"]
             lines += [f"{n},{m2!r},{m4!r},{ks!r}" for n, m2, m4, ks in rows]
             _write(_sibling(cfg.out, "scan.csv"), "\n".join(lines) + "\n")
-        elif c["check"] == "critical_window":
-            bc = thermo.critical_beta(c["d"])
-            table = finiten.build_table(c["d"], max(c["grid"]), bc, cache_dir=cfg.cache_dir)
-            finiten.write_spinlaw_csv(finiten.spin_law(table), _sibling(cfg.out, "spinlaw.csv"))
 
 
 def _given_sizes(cfg: argparse.Namespace) -> tuple:
@@ -260,7 +256,12 @@ _SUITES = {
     "exponents": lambda cfg: criticality.exponent_checks(cfg.d),
     "jump": lambda cfg: [criticality.specific_heat_jump(cfg.d)],
     "scaling": lambda cfg: [criticality.scaling_limit_check(cfg.d, *_given_sizes(cfg), cache_dir=cfg.cache_dir)],
-    "finiten": lambda cfg: finiten.finite_size_checks(cfg.d, *_given_sizes(cfg), cache_dir=cfg.cache_dir),
+    "finiten": lambda cfg: finiten.finite_size_checks(
+        cfg.d,
+        *_given_sizes(cfg),
+        cache_dir=cfg.cache_dir,
+        spinlaw_csv=_sibling(cfg.out, "spinlaw.csv") if cfg.out else None,
+    ),
     "matching": lambda cfg: [matching.pairing_law_exact(), matching.table_identities(cfg.cache_dir)],
 }
 SUITES = tuple(_SUITES)

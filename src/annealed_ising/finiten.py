@@ -261,13 +261,18 @@ def write_spinlaw_csv(law: SpinLaw, path: str) -> None:
 
 
 def finite_size_checks(
-    d: int, ns: tuple[int, ...] = (250, 500, 1000), cache_dir: str | None = None
+    d: int,
+    ns: tuple[int, ...] = (250, 500, 1000),
+    cache_dir: str | None = None,
+    spinlaw_csv: str | None = None,
 ) -> list[dict]:
     """The four checks below, on tables and laws built once each.
 
     The free-spin forms use the first size; derivative_consistency reuses the
     n = 500 law of the pressure gaps (else the largest); the critical window,
-    only for d >= 3, takes the sizes >= 200 (else 500 and 1000).
+    only for d >= 3, takes the sizes >= 200 (else 500 and 1000). With
+    `spinlaw_csv` set, the window's law at its largest n is written there by
+    `write_spinlaw_csv`.
     """
     checks = [free_spin_closed_forms(build_table(d, ns[0], 0.0, cache_dir=cache_dir))]
     laws = {n: spin_law(build_table(d, n, _BETA_GAP, cache_dir=cache_dir), _B_GAP) for n in ns}
@@ -276,7 +281,10 @@ def finite_size_checks(
     if d >= 3:
         bc = critical_beta(d)
         ns_c = tuple(n for n in ns if n >= 200) or (500, 1000)
-        checks.append(critical_window([spin_law(build_table(d, n, bc, cache_dir=cache_dir)) for n in ns_c]))
+        window = [spin_law(build_table(d, n, bc, cache_dir=cache_dir)) for n in ns_c]
+        checks.append(critical_window(window))
+        if spinlaw_csv is not None:
+            write_spinlaw_csv(max(window, key=lambda law: law.n), spinlaw_csv)
     return checks
 
 

@@ -4,11 +4,20 @@ import json
 import math
 import os
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from annealed_ising import ModelParams, build_table, cli, critical_beta, spin_law, thermo_point
+from annealed_ising import (
+    ModelParams,
+    build_table,
+    cli,
+    critical_beta,
+    matching,
+    spin_law,
+    thermo_point,
+)
 from annealed_ising.cli import main
 from annealed_ising.matching import cache_path
 from test_thermo import _golden_section_pressure
@@ -327,6 +336,26 @@ def test_verify_finiten_writes_sibling_spinlaw(tmp_path, cache_dir):
     text = (tmp_path / "spinlaw.csv").read_text()
     assert "np.float64" not in text
     assert len(text.splitlines()) == 1 + 501  # the law at the window's largest n
+
+
+def test_verify_finiten_out_fills_each_table_once(monkeypatch, tmp_path):
+    # without a cache, spinlaw.csv must come from the law the checks built,
+    # not from a second fill of the window's largest table
+    fills = Counter()
+    real = matching.gtable_values
+
+    def counting(d, n, beta):
+        fills[d, n, beta] += 1
+        return real(d, n, beta)
+
+    monkeypatch.setattr(matching, "gtable_values", counting)
+    monkeypatch.delenv(matching.CACHE_ENV, raising=False)
+    out = tmp_path / "f.json"
+    rc = main(["verify", "--suite", "finiten", "--d", "3", "--out", str(out)])
+    assert rc == 1  # the critical-window gates are asymptotic-only
+    tables = [(250, 0.0)] + [(n, b) for b in (0.4, BC3) for n in (250, 500, 1000)]
+    assert fills == Counter({(3, n, b): 1 for n, b in tables})
+    assert len((tmp_path / "spinlaw.csv").read_text().splitlines()) == 1 + 1001
 
 
 def test_outputs_land_exactly_where_asked(tmp_path):

@@ -1,5 +1,6 @@
 """The recurrence table fill against a decimal oracle, the closed form and exact cases."""
 
+import functools
 import math
 from decimal import Decimal, localcontext
 
@@ -30,15 +31,11 @@ def decimal_log_g(k, m, beta):
     walk stops there when that term is under 1e-42 of the total.
     """
     x0 = k & 1
-    # P(X = x0) = (k-1-x0)!! (m-k-1-x0)!! (k(m-k))^x0 / (m-1)!!; dividing out
-    # (m-k-1-x0)!! leaves the top (k+x0)/2 factors of (m-1)!!
-    num = math.prod(range(k - 1 - x0, 0, -2)) * (k * (m - k)) ** x0
-    den = math.prod(range(m - 1, m - k - 1 - x0, -2))
     with localcontext() as ctx:
         ctx.prec = 40
         c = (Decimal(-2) * Decimal(beta)).exp()
         c2 = c * c
-        term = Decimal(num) / Decimal(den) * c**x0
+        term = _first_mass(k, m) * c**x0
         total = term
         for x in range(x0, min(k, m - k) - 1, 2):
             ratio = c2 * ((k - x) * (m - k - x)) / ((x + 1) * (x + 2))
@@ -49,6 +46,19 @@ def decimal_log_g(k, m, beta):
         return total.ln()
 
 
+@functools.lru_cache(maxsize=4096)
+def _first_mass(k, m):
+    """P(X = k mod 2) to 40 digits, from an exact ratio of integers; shared by every beta."""
+    x0 = k & 1
+    # P(X = x0) = (k-1-x0)!! (m-k-1-x0)!! (k(m-k))^x0 / (m-1)!!; dividing out
+    # (m-k-1-x0)!! leaves the top (k+x0)/2 factors of (m-1)!!
+    num = math.prod(range(k - 1 - x0, 0, -2)) * (k * (m - k)) ** x0
+    den = math.prod(range(m - 1, m - k - 1 - x0, -2))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return Decimal(num) / Decimal(den)
+
+
 def gather_fill(d, n, beta):
     """The recurrence one k per step, then every row read on its own.
 
@@ -57,8 +67,9 @@ def gather_fill(d, n, beta):
     Each pair (f_k, f_{k+1}) with k even is multiplied by 2^830 when either
     is below 2^-830, and every index keeps its own count of such shifts.
     Row j = log f_dj minus its count times 830 ln 2, minus 2β when dj is odd.
-    The kernel's two steps per turn, its sorted shift list, strided gather
-    and odd-row slice must reproduce it bit for bit.
+    This is the recurrence as the kernels docstring defines it, one scalar
+    step at a time; the blocked kernel must stay within both fills' derived
+    bounds of it.
     """
     m = d * n
     c2 = math.exp(-4.0 * beta)
@@ -240,16 +251,66 @@ def test_every_degree_matches_decimal_oracle(d, n):
     + [(3, 8000)],
 )
 def test_fill_is_bitwise_the_gather_fill(d, n):
-    # every row, rescaled ones included (beta = 8 once dn >= 1800), takes the
-    # same floating-point steps as the per-step gather, so the tables (and
-    # cache files) match bit for bit
+    """Every row against the one-step gather fill: bitwise at beta = 0, else within a bound.
+
+    At beta = 0 both fills take c² = 1 and give exactly 0. Elsewhere the
+    blocked kernel rounds in another order than the one-step recurrence, and
+    each is within 8u(k + max(1, |log g_k|)) of log g_k (the kernels
+    docstring for the blocked fill, the same count for the one-step one), so
+    they differ by at most the sum of the two, 16u(k + max(1, |log g_k|)).
+    Rescaled rows (beta = 8 once dn >= 1800) are among the rows checked.
+    """
     labels = ("0.2",) if n == 8000 else ("0", "0.2", "bc", "1.2", "3.0", "8.0")
+    m = d * n
+    k = np.minimum(d * np.arange(n + 1), m - d * np.arange(n + 1))
     for label in labels:
         if label == "bc" and d < 3:
             continue  # no finite critical point
         beta = _beta(label, d)
         got, ref = gtable_values(d, n, beta), gather_fill(d, n, beta)
-        assert np.array_equal(got, ref), (label, np.max(np.abs(got - ref)))
+        if beta == 0.0:
+            assert np.array_equal(got, ref)
+            continue
+        bound = 16 * U * (k + np.maximum(1.0, np.abs(ref)))
+        assert np.all(np.abs(got - ref) <= bound), (label, np.max(np.abs(got - ref) / bound))
+
+
+@pytest.mark.parametrize("label", ["0.2", "bc", "1.2", "8.0"])
+@pytest.mark.parametrize("d,n", [(3, 8000), (4, 4000)])
+def test_block_seams_match_decimal_oracle(d, n, label):
+    # every row whose k = dj is a block's first step k0 = iL, where the stitch
+    # rescales the pair (f_k0, f_k0-1), or its last step k0 + L - 1, under the
+    # unchanged 8u bound: at d = 3, L = 64 that is both ends of every third
+    # block, at d = 4, L = 52 the start of every block
+    beta = _beta(label, d)
+    size = kernels._block_length(d * n, d * (n // 2))
+    first = [j for j in range(n // 2 + 1) if d * j % size == 0]
+    last = [j for j in range(n // 2 + 1) if d * j % size == size - 1]
+    assert len(first) + len(last) >= 120  # 125 rows at d = 3, 154 at d = 4
+    _assert_rows_match_oracle(d, n, beta, gtable_values(d, n, beta), first + last)
+
+
+def test_a_table_at_n_1e5_matches_decimal_oracle():
+    # rows up to k = 36000 of the d = 3, n = 1e5 table, which spans thousands of blocks
+    d, n, beta = 3, 100_000, 0.6
+    _assert_rows_match_oracle(d, n, beta, gtable_values(d, n, beta), [1, 2, 6000, 12000])
+
+
+@pytest.mark.parametrize("d,n,beta", [(3, 8000, 0.55), (4, 4000, 8.0), (3, 100_000, 0.6)])
+def test_two_fills_are_bitwise_equal(d, n, beta):
+    assert np.array_equal(gtable_values(d, n, beta), gtable_values(d, n, beta))
+
+
+@pytest.mark.parametrize("d,n", [(3, 8000), (3, 50), (1, 2)])
+def test_a_c2_that_rounds_to_1_gives_the_free_rows(d, n):
+    # e^{-4e-18} rounds to 1.0, so every step is exactly 1: even rows are
+    # exactly 0 and odd rows exactly -2β, the bits of the one-step recurrence
+    beta = 1e-18
+    assert math.exp(-4.0 * beta) == 1.0
+    want = np.where((d * np.arange(n + 1)) & 1, -2.0 * beta, 0.0)
+    want[[0, n]] = 0.0  # the pinned ends
+    got = gtable_values(d, n, beta)
+    assert got.tobytes() == want.tobytes() == gather_fill(d, n, beta).tobytes()
 
 
 def _assert_rows_match_oracle(d, n, beta, got, rows):
