@@ -123,28 +123,6 @@ def _parser() -> argparse.ArgumentParser:
 # output plumbing
 
 
-def _py(obj):
-    """Make a report JSON-ready: numpy scalars to Python, float keys to repr."""
-    if isinstance(obj, dict):
-        out = {}
-        for k, v in obj.items():
-            if isinstance(k, float):
-                k = repr(k)
-            elif not isinstance(k, str):
-                k = str(k)
-            out[k] = _py(v)
-        return out
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_py(v) for v in obj.tolist()]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
-
-
 def _write(out: str | None, text: str) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -155,18 +133,12 @@ def _write(out: str | None, text: str) -> None:
 
 def _emit_rows(cfg: argparse.Namespace, header: tuple[str, ...], rows: list[tuple]) -> None:
     if cfg.format == "json":
-        payload = {"columns": list(header), "rows": [[_as_py(v) for v in row] for row in rows]}
+        payload = {"columns": header, "rows": rows}
         _write(cfg.out, json.dumps(payload, indent=2) + "\n")
     else:
         lines = [",".join(header)]
-        lines += [",".join(repr(_as_py(v)) for v in row) for row in rows]
+        lines += [",".join(map(repr, row)) for row in rows]
         _write(cfg.out, "\n".join(lines) + "\n")
-
-
-def _as_py(v):
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return int(v)
-    return float(v)
 
 
 def _sibling(out: str, name: str) -> str:
@@ -183,10 +155,10 @@ def cmd_gtable(cfg: argparse.Namespace) -> int:
     (n,), (beta,) = cfg.ns, cfg.betas
     table = matching.log_g_table(cfg.d, n, beta, cache_dir=cfg.cache_dir)
     if cfg.format == "json":
-        payload = {"d": cfg.d, "n": n, "beta": beta, "log_g": [float(v) for v in table.values]}
+        payload = {"d": cfg.d, "n": n, "beta": beta, "log_g": table.values.tolist()}
         _write(cfg.out, json.dumps(payload, indent=2) + "\n")
     else:
-        _emit_rows(cfg, ("j", "log_g"), list(enumerate(table.values)))
+        _emit_rows(cfg, ("j", "log_g"), list(enumerate(table.values.tolist())))
     return 0
 
 
@@ -229,7 +201,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         "checks": checks,
         "pass": bool(all(c["pass"] for c in checks)),
     }
-    _write(cfg.out, json.dumps(_py(report), indent=2) + "\n")
+    _write(cfg.out, json.dumps(report, indent=2) + "\n")
     return 0 if report["pass"] else 1
 
 

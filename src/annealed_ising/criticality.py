@@ -6,7 +6,9 @@ where the maximizer of the variational problem bifurcates: the magnetization
 onsets like (beta - beta_c)^{1/2}, the susceptibility diverges like
 |beta - beta_c|^{-1} from both sides, the specific heat stays bounded with a
 finite jump, and the total spin scaled by n^{3/4} converges to the quartic
-law with density proportional to exp(-a x^4).
+law with density proportional to exp(-a x^4). That limit rests on H', H'' and
+H''' vanishing at t = 1/2, beta_c with H'''' < 0; the Taylor check measures
+all four by central stencils on the closed-form H' of `thermo.dH_beta`.
 
 Check functions return JSON-ready dicts shaped
 {check, d, grid, estimates, targets, tolerances, pass}; the constants they
@@ -22,7 +24,7 @@ import numpy as np
 
 from .finiten import build_table, mgf_scaled, spin_law
 from .quadrature import _nodes
-from .thermo import ModelParams, _F_from_half, critical_beta, thermo_point
+from .thermo import ModelParams, _logf, critical_beta, dH_beta, thermo_point
 
 __all__ = [
     "ExponentFit",
@@ -131,74 +133,35 @@ def scaling_limit(d: int) -> ScalingLimit:
 _STEP = 1e-3
 
 
-def _entropy_increment(u: float) -> float:
-    """phi(u) = -(1/2 - u) log(1 - 2u) - (1/2 + u) log(1 + 2u), for |u| <= 1/4.
-
-    Summed as the even series -sum_{k>=1} (2u)^{2k} / (2k (2k-1)) with
-    math.fsum. Every term has one sign, so nothing cancels; the two log terms
-    are each ~u while phi ~ -2u^2, and their difference would lose the digits
-    that the Taylor stencil's h^-4 then multiplies.
-    """
-    if not abs(u) <= 0.25:
-        raise ValueError(f"u={u}: the series is summed for |u| <= 1/4 only")
-    x2 = 4.0 * u * u
-    terms, p, k = [], x2, 1
-    while True:
-        terms.append(p / (2 * k * (2 * k - 1)))
-        if terms[-1] <= 2.0**-60 * terms[0]:
-            return -math.fsum(terms)
-        p *= x2
-        k += 1
-
-
-def _increments(d: int, c: float, h: float) -> tuple[dict[int, float], dict[int, float]]:
-    """G(kh) = H(1/2 + kh) - H(1/2) and the F-part alone, k in {+-1, +-2, +-4}.
-
-    Both pieces are evaluated as increments from 1/2 -- the entropy part as
-    a one-signed series (`_entropy_increment`), the F part as
-    F(1/2 - |kh|) - F(1/2) in closed form (`thermo._F_from_half`) -- so the
-    near-total cancellation between them (G ~ 1e-13 at h = 1e-3) costs no
-    precision.
-    """
-    gvals: dict[int, float] = {}
-    fvals: dict[int, float] = {}
-    for k in (-4, -2, -1, 1, 2, 4):
-        u = k * h
-        phi = _entropy_increment(u)
-        finc = _F_from_half(0.5 - abs(u), c)
-        fvals[k] = finc
-        gvals[k] = phi + d * finc
-    return gvals, fvals
-
-
 def _stencil_derivatives(g: dict[int, float], h: float) -> tuple[float, float, float, float]:
-    """Central-difference d1..d4 at 0, Richardson-extrapolated from steps h and 2h.
+    """g and its first three derivatives at 0 from g[k] = g(kh), k in {+-1, +-2, +-4}.
 
-    Uses g(0) = 0 (the increments vanish at the center) and the evenness of
-    the underlying function, which makes every stencil's error series clean
-    in powers of h^2: orders 4, 4, 2, 2 before extrapolation.
+    Each central stencil takes the points +-k, +-2k (k = 1, 2) and is
+    Richardson-extrapolated from steps h and 2h; its error series runs in
+    powers of h^2 from order 4, 4, 2, 2. The value at 0 is interpolated, not
+    sampled, so every estimate is measured from both sides.
     """
+
+    def d0(k):
+        return (4.0 * (g[-k] + g[k]) - g[-2 * k] - g[2 * k]) / 6.0
 
     def d1(k):
         return (g[-2 * k] - 8.0 * g[-k] + 8.0 * g[k] - g[2 * k]) / (12.0 * k * h)
 
     def d2(k):
-        return (-g[-2 * k] + 16.0 * g[-k] + 16.0 * g[k] - g[2 * k]) / (12.0 * (k * h) ** 2)
+        return (g[-2 * k] - g[-k] - g[k] + g[2 * k]) / (3.0 * (k * h) ** 2)
 
     def d3(k):
         return (-g[-2 * k] + 2.0 * g[-k] - 2.0 * g[k] + g[2 * k]) / (2.0 * (k * h) ** 3)
-
-    def d4(k):
-        return (g[-2 * k] - 4.0 * g[-k] - 4.0 * g[k] + g[2 * k]) / (k * h) ** 4
 
     def rich(p, fine, coarse):
         return (2.0**p * fine - coarse) / (2.0**p - 1.0)
 
     return (
+        rich(4, d0(1), d0(2)),
         rich(4, d1(1), d1(2)),
-        rich(4, d2(1), d2(2)),
+        rich(2, d2(1), d2(2)),
         rich(2, d3(1), d3(2)),
-        rich(2, d4(1), d4(2)),
     )
 
 
@@ -206,14 +169,23 @@ def taylor_check(d: int) -> dict:
     """Verify H', H'', H''' vanish at t = 1/2 and H'''' hits its closed form.
 
     The expansion is taken at beta_c(d), the one temperature at which the
-    low-order terms vanish.
+    low-order terms vanish. The stencils sample the closed-form H'
+    (`thermo.dH_beta`) on both sides of 1/2, and, for the F part alone,
+    F' = log f below 1/2, mirrored to -log f(1 - t) above. At the samples H' is
+    ~1e-9 while each of its two terms is ~4e-3, so a sample's rounding is
+    ~1e-18 and moves the H'''' estimate by ~1e-9.
     """
     _require_critical_point(d)
     h = _STEP
-    c = math.exp(-2.0 * critical_beta(d))
-    gvals, fvals = _increments(d, c, h)
-    h1, h2, h3, h4 = _stencil_derivatives(gvals, h)
-    f2, f4 = _stencil_derivatives(fvals, h)[1::2]
+    beta = critical_beta(d)
+    c = math.exp(-2.0 * beta)
+    dh, df = {}, {}
+    for k in (1, 2, 4):
+        dh[-k], dh[k] = dH_beta(0.5 - k * h, d, beta), dH_beta(0.5 + k * h, d, beta)
+        df[-k] = float(_logf(0.5 - k * h, c))
+        df[k] = -df[-k]
+    h1, h2, h3, h4 = _stencil_derivatives(dh, h)
+    f2, f4 = _stencil_derivatives(df, h)[1::2]
 
     t4 = -32.0 * (d - 1.0) * (d - 2.0) / (d * d)
     tf2 = 2.0 * (1.0 - c)

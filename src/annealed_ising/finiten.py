@@ -328,13 +328,24 @@ def pressure_gap_shrinks(laws: list[SpinLaw]) -> dict:
 
 
 def derivative_consistency(law: SpinLaw) -> dict:
-    """Exact M_n and chi_n at the law's field against central differences of psi_n, to 1e-6."""
-    h, tol = 1e-5, 1e-6
-    dp = finite_pressure_increment(law, h)
-    dm = finite_pressure_increment(law, -h)
+    """Exact M_n and chi_n at the law's field against central differences of psi_n, to 1e-6.
+
+    Each difference is Richardson-extrapolated from steps h and 2h, h = 2e-4,
+    which removes its h^2 term. Rounding in the increments reaches the chi
+    difference divided by h^2, so at this h it stays near 1e-11, where a
+    plain difference at h = 1e-5 printed ~1e-9 of rounding noise.
+    """
+    h, tol = 2e-4, 1e-6
+
+    def differences(step):
+        dp = finite_pressure_increment(law, step)
+        dm = finite_pressure_increment(law, -step)
+        return (dp - dm) / (2.0 * step), (dp + dm) / (step * step)
+
+    (m1, c1), (m2, c2) = differences(h), differences(2.0 * h)
     gaps = {
-        "M_fd_gap": abs((dp - dm) / (2.0 * h) - law.M),
-        "chi_fd_gap": abs((dp + dm) / (h * h) - law.chi),
+        "M_fd_gap": abs((4.0 * m1 - m2) / 3.0 - law.M),
+        "chi_fd_gap": abs((4.0 * c1 - c2) / 3.0 - law.chi),
     }
     return {
         "check": "derivative_consistency",

@@ -32,8 +32,9 @@ R = sqrt(c^2 + (1 - c^2) 4 tau (1 - tau)),
 
 every term O(tau), so F needs no quadrature. f_beta, F_beta, H_beta,
 dH_beta and d2H_beta keep the variational form as the documented statement
-of the problem and as an independent oracle; the limit quantities never
-evaluate it.
+of the problem and as an independent oracle. `criticality.taylor_check`
+differentiates dH_beta (and log f, for the F part) at t = 1/2, beta_c;
+`thermo_point` never evaluates the variational form.
 """
 
 from __future__ import annotations
@@ -154,20 +155,6 @@ def F_beta(t: float, beta: float) -> float:
     v = 1.0 - 2.0 * tau
     w = c * v + math.sqrt(c * c - math.expm1(-4.0 * beta) * 4.0 * tau * (1.0 - tau))
     return tau * math.log(0.5 * w) + 0.5 * math.log1p(2.0 * c * tau / w) + 0.5 * v * math.log1p(-tau)
-
-
-def _F_from_half(tau: float, c: float) -> float:
-    """F(tau) - F(1/2) = -(integral of log f over [tau, 1/2]) for tau in [0, 1/2].
-
-    The integral is (1/2)[v log f(tau) - log1p((R - 1)/(1 + c))] with
-    v = 1 - 2 tau and R = sqrt(1 + (c^2 - 1) v^2); R - 1 is formed as
-    (c^2 - 1) v^2/(1 + R), so nothing cancels as tau -> 1/2.
-    """
-    v = 1.0 - 2.0 * tau
-    a = c * c - 1.0
-    rm1 = a * v * v / (1.0 + math.sqrt(1.0 + a * v * v))
-    logf = math.log1p(c * v + rm1) - math.log1p(v)
-    return -0.5 * (v * logf - math.log1p(rm1 / (1.0 + c)))
 
 
 def H_beta(t: float, d: int, beta: float) -> float:

@@ -1,6 +1,5 @@
 """Taylor expansion, exponent fits, the heat jump, and the quartic limit."""
 
-import decimal
 import math
 
 import numpy as np
@@ -19,7 +18,8 @@ from annealed_ising import (
     spin_law,
     taylor_check,
 )
-from annealed_ising.criticality import _entropy_increment, _ks_distance
+from annealed_ising import criticality
+from annealed_ising.criticality import _ks_distance
 from gauss_legendre import adaptive_quad
 
 BC3 = critical_beta(3)
@@ -121,12 +121,15 @@ def test_taylor_check_passes(d):
     assert rep["pass"] is True
     est, tgt = rep["estimates"], rep["targets"]
     assert tgt["dH4"] == -32.0 * (d - 1.0) * (d - 2.0) / (d * d)
-    # the stencil's own error is ~1e-10; an entropy increment that loses
-    # digits to cancellation moves dH4 by ~3e-7, which the report's 1e-4 hides
+    # H' is ~1e-9 at the samples and rounds by ~1e-18, which the h^-3 of the
+    # H'''' stencil turns into ~1e-9 relative; the report's 1e-4 would hide more
     assert est["dH4"] == pytest.approx(tgt["dH4"], rel=1e-8)
     assert abs(est["dH1"]) <= 1e-7 and abs(est["dH2"]) <= 1e-7 and abs(est["dH3"]) <= 1e-7
+    # fl(1/2 + kh) and fl(1/2 - kh) mirror each other bitwise, and so do the two
+    # branches of dH_beta, so the odd-order estimates are exactly +0.0, never -0.0
+    assert repr(est["dH1"]) == "0.0" and repr(est["dH3"]) == "0.0"
     assert est["dF2"] == pytest.approx(tgt["dF2"], abs=1e-7)
-    assert est["dF4"] == pytest.approx(tgt["dF4"], rel=1e-4)
+    assert est["dF4"] == pytest.approx(tgt["dF4"], rel=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -147,21 +150,21 @@ def test_the_critical_point_needs_d_at_least_3(check):
             check(d)
 
 
-def _phi_40_digits(u: float) -> float:
-    """-(1/2 - u) ln(1 - 2u) - (1/2 + u) ln(1 + 2u) in 40-digit decimal arithmetic."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        x, half = decimal.Decimal(u), decimal.Decimal("0.5")
-        return float(-(half - x) * (1 - 2 * x).ln() - (half + x) * (1 + 2 * x).ln())
+def test_taylor_check_reads_the_closed_form_derivative(monkeypatch):
+    # delta (t - 1/2)^3 added to H' adds 6 delta to H''''; sized to move it
+    # by 1e-3 relative, ten times the report's tolerance
+    d = 3
+    t4 = -32.0 * (d - 1.0) * (d - 2.0) / (d * d)
+    delta = 1e-3 * abs(t4) / 6.0
+    real = criticality.dH_beta
 
+    def planted(t, d, beta):
+        return real(t, d, beta) + delta * (t - 0.5) ** 3
 
-def test_entropy_increment_matches_40_digit_decimal():
-    # the taylor stencil's points k*h, h = 1e-3, and a few larger offsets
-    for u in [k * 1e-3 for k in (-4, -2, -1, 1, 2, 4)] + [1e-6, -0.03, 0.1, -0.25]:
-        ref = _phi_40_digits(u)
-        assert abs(_entropy_increment(u) - ref) <= 1e-15 * abs(ref), u
-    with pytest.raises(ValueError):
-        _entropy_increment(0.3)
+    monkeypatch.setattr(criticality, "dH_beta", planted)
+    rep = taylor_check(d)
+    assert rep["estimates"]["dH4"] == pytest.approx(t4 + 6.0 * delta, rel=1e-8)
+    assert rep["pass"] is False
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,17 @@ def test_finite_size_checks_read_each_table_once(monkeypatch, cache_dir, d):
     assert checks[2]["grid"] == [500]
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_derivative_gaps_are_below_rounding_noise_of_a_plain_difference(cache_dir, d):
+    # Richardson in h from 2e-4: a plain central difference at h = 1e-5 gave
+    # M/chi gaps of 4.4e-10/6.4e-10 at d = 3 and 9.9e-11/1.5e-9 at d = 4
+    check = finite_size_checks(d, cache_dir=cache_dir)[2]
+    assert check["check"] == "derivative_consistency" and check["grid"] == [500]
+    assert check["estimates"]["M_fd_gap"] <= 1e-12
+    assert check["estimates"]["chi_fd_gap"] <= 2e-10
+    assert check["pass"] is True
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_finite_size_checks_build_each_law_once(monkeypatch, cache_dir, d):
     laws = Counter()

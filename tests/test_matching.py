@@ -15,6 +15,7 @@ from annealed_ising import (
     log_g_table,
     matching,
     pairing_law_exact,
+    table_identities,
 )
 from annealed_ising.matching import CACHE_ENV, _header, _record, cache_path
 
@@ -101,7 +102,6 @@ def test_pairing_law_gate_catches_one_planted_count(monkeypatch):
 
 
 def test_pairing_law_gate_catches_an_integer_formula_off_by_one(monkeypatch):
-    # the float law stays right, so only the exact integer comparison can turn the gate red
     closed = matching._closed_count
 
     def planted(k, m, x):
@@ -109,7 +109,6 @@ def test_pairing_law_gate_catches_an_integer_formula_off_by_one(monkeypatch):
 
     monkeypatch.setattr(matching, "_closed_count", planted)
     rep = pairing_law_exact()
-    assert rep["estimates"]["max_log_gap"] <= 1e-12
     assert rep["estimates"]["count_mismatches"] == 1
     assert rep["pass"] is False
 
@@ -145,6 +144,25 @@ def test_table_closed_forms_and_symmetry():
     assert t.values[0] == 0.0 and t.values[50] == 0.0
     assert np.all(t.values <= 0.0)
     assert np.array_equal(t.values, t.values[::-1])  # mirror fill is exact
+
+
+def test_table_identities_gate_catches_a_nonzero_free_table(monkeypatch):
+    # at beta = 0 every weight is exactly 1, so one log-weight of -1e-12 must turn the check red
+    real = matching.log_g_table
+
+    def planted(d, n, beta, cache_dir=None):
+        table = real(d, n, beta, cache_dir=cache_dir)
+        if beta != 0.0:
+            return table
+        values = table.values.copy()
+        values[n // 2] = -1e-12
+        return matching.LogG(d, n, beta, values)
+
+    assert table_identities()["pass"] is True
+    monkeypatch.setattr(matching, "log_g_table", planted)
+    rep = table_identities()
+    assert rep["estimates"]["free_case_max"] == 1e-12
+    assert rep["pass"] is False
 
 
 def test_table_input_validation():
