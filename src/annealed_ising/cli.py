@@ -101,19 +101,20 @@ def _parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", required=True, choices=SUITES)
     for sp in (g, t, v):
         sp.add_argument("--d", type=_degree, default=3, help="graph degree (default 3)")
-    for sp in (g, t):
-        beta = sp.add_mutually_exclusive_group(required=True)
-        beta.add_argument("--beta", dest="betas", type=_point, help="inverse temperature")
-        beta.add_argument("--beta-range", dest="betas", type=_range, help="linear scan start:stop:steps")
+        sp.add_argument("--cache-dir", help="directory for weight-table caching")
+        sp.add_argument("--out", help="output path (default: stdout)")
+    g.add_argument("--beta", dest="betas", type=_point, required=True, help="inverse temperature")
+    g.add_argument("--n", dest="ns", type=_size, required=True, help="number of vertices")
+    beta = t.add_mutually_exclusive_group(required=True)
+    beta.add_argument("--beta", dest="betas", type=_point, help="inverse temperature")
+    beta.add_argument("--beta-range", dest="betas", type=_range, help="linear scan start:stop:steps")
     field = t.add_mutually_exclusive_group()
     field.add_argument("--B", dest="Bs", type=_point, default=(0.0,), help="external field (default 0)")
     field.add_argument("--B-range", dest="Bs", type=_range, default=(0.0,), help="linear scan start:stop:steps")
-    for sp in (g, t, v):
+    for sp in (t, v):
         size = sp.add_mutually_exclusive_group()
         size.add_argument("--n", dest="ns", type=_size, default=(), help="number of vertices")
         size.add_argument("--n-list", dest="ns", type=_sizes, default=(), help="comma-separated vertex counts")
-        sp.add_argument("--cache-dir", help="directory for weight-table caching")
-        sp.add_argument("--out", help="output path (default: stdout)")
     for sp in (g, t):
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
     return p
@@ -150,8 +151,6 @@ def _sibling(out: str, name: str) -> str:
 
 
 def cmd_gtable(cfg: argparse.Namespace) -> int:
-    if len(cfg.ns) != 1 or len(cfg.betas) != 1:
-        raise ValueError("gtable needs exactly one --n and one --beta")
     (n,), (beta,) = cfg.ns, cfg.betas
     table = matching.log_g_table(cfg.d, n, beta, cache_dir=cfg.cache_dir)
     if cfg.format == "json":
@@ -167,7 +166,7 @@ def cmd_thermo(cfg: argparse.Namespace) -> int:
         header = ("n", "beta", "B", "psi_n", "M_n", "chi_n")
 
         def work(n, b):
-            table = finiten.build_table(cfg.d, n, b, cache_dir=cfg.cache_dir)
+            table = matching.log_g_table(cfg.d, n, b, cache_dir=cfg.cache_dir)
             laws = (finiten.spin_law(table, B) for B in cfg.Bs)
             return [(n, b, law.B, law.psi, law.M, law.chi) for law in laws]
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finiten import build_table, mgf_scaled, spin_law
+from .finiten import mgf_scaled, spin_law
+from .matching import log_g_table
 from .quadrature import _nodes
 from .thermo import ModelParams, _logf, critical_beta, dH_beta, thermo_point
 
@@ -182,7 +183,7 @@ def taylor_check(d: int) -> dict:
     dh, df = {}, {}
     for k in (1, 2, 4):
         dh[-k], dh[k] = dH_beta(0.5 - k * h, d, beta), dH_beta(0.5 + k * h, d, beta)
-        df[-k] = float(_logf(0.5 - k * h, c))
+        df[-k] = _logf(0.5 - k * h, c)
         df[k] = -df[-k]
     h1, h2, h3, h4 = _stencil_derivatives(dh, h)
     f2, f4 = _stencil_derivatives(df, h)[1::2]
@@ -402,7 +403,7 @@ def scaling_limit_check(
     bc = critical_beta(d)
     m2s, m4s, kss = [], [], []
     for n in n_list:
-        law = spin_law(build_table(d, n, bc, cache_dir=cache_dir), 0.0)
+        law = spin_law(log_g_table(d, n, bc, cache_dir=cache_dir), 0.0)
         m2s.append(law.moment(2) / n**1.5)
         m4s.append(law.moment(4) / n**3.0)
         kss.append(_ks_distance(law, limit))

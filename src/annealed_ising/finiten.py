@@ -4,16 +4,15 @@ The annealed partition function factors over the number j of up spins:
 
     E[Z_n] = exp((beta*d/2 - B) n) * sum_j C(n, j) g(d j, d n) e^{2 B j},
 
-so every finite-n quantity reduces to the log-weight table
-log x_j = log C(n, j) + log g(d j, d n). The external field enters only at
-query time as a tilt 2 B j, which keeps one table reusable across a field
-scan. `spin_law(table, B)` is the one evaluation at a field: it tilts the
-weights, exponentiates them once and carries the law of S = 2j - n with
-psi_n = beta d/2 - B + (1/n) log sum_j x_j e^{2Bj}, M_n = E[S]/n and
-chi_n = Var(S)/n. Every other finite-n number takes that law and sums
-against its masses: the pressure increment, the scaled mgf and the
-critical-window truncation. The checks of the `finiten` verify suite sit at
-the end.
+so every finite-n quantity reduces to the table log g(d j, d n) that
+`matching.log_g_table` builds and caches. `spin_law(table, B)` is the one
+evaluation at a field: it adds log C(n, j) (a row memoised per n) and the
+tilt 2 B j, so one table serves a whole field scan, exponentiates the
+weights once and carries the law of S = 2j - n with psi_n = beta d/2 - B +
+(1/n) log sum_j C(n, j) g(d j, d n) e^{2Bj}, M_n = E[S]/n and chi_n =
+Var(S)/n. Every other finite-n number sums against that law's masses: the
+pressure increment, the scaled mgf and the critical-window truncation. The
+`finiten` verify suite's checks sit at the end.
 """
 
 from __future__ import annotations
@@ -25,14 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import log_factorials
-from .matching import log_g_table
+from .matching import LogG, log_g_table
 from .thermo import ModelParams, critical_beta, thermo_point
 
 __all__ = [
-    "LogWeightTable",
     "SpinLaw",
     "TruncationReport",
-    "build_table",
     "finite_pressure_increment",
     "spin_law",
     "mgf_scaled",
@@ -52,20 +49,6 @@ _BETA_GAP, _B_GAP = 0.4, 0.1
 # np.exp rounds every argument below log(2^-1075) = -745.133 to exactly 0.0, and
 # is ~10x slower on such lanes than on the rest, so _shifted_exp never evaluates them
 _EXP_CUT = -746.0
-
-
-@dataclass(frozen=True)
-class LogWeightTable:
-    """log x_j for j = 0..n at fixed (d, beta); B is applied per query."""
-
-    n: int
-    d: int
-    beta: float
-    log_x: np.ndarray
-
-    def __post_init__(self):
-        if len(self.log_x) != self.n + 1:
-            raise ValueError(f"log_x has {len(self.log_x)} entries, expected n+1={self.n + 1}")
 
 
 @dataclass(frozen=True)
@@ -129,6 +112,15 @@ def _spin_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     return j, s
 
 
+@functools.lru_cache(maxsize=64)
+def _log_binomials(n: int) -> np.ndarray:
+    """Read-only log C(n, j) for j = 0..n from the shared log-factorial prefix (memoised per n)."""
+    lf = log_factorials(n)
+    row = lf[n] - (lf + lf[::-1])
+    row.setflags(write=False)
+    return row
+
+
 def _shifted_exp(v: np.ndarray) -> tuple[float, np.ndarray]:
     """max(v) and exp(v - max(v)), bitwise np.exp, with lanes below _EXP_CUT never evaluated."""
     top = float(np.max(v))
@@ -138,32 +130,23 @@ def _shifted_exp(v: np.ndarray) -> tuple[float, np.ndarray]:
     return top, e
 
 
-def build_table(d: int, n: int, beta: float, cache_dir: str | None = None) -> LogWeightTable:
-    """Assemble log x_j = log C(n, j) + log g(d j, d n)."""
-    gtable = log_g_table(d, n, beta, cache_dir=cache_dir)
-    lf = log_factorials(n)
-    lbinom = lf[n] - (lf + lf[::-1])
-    log_x = lbinom + np.asarray(gtable.values, dtype=np.float64)
-    log_x.setflags(write=False)
-    return LogWeightTable(n=n, d=d, beta=beta, log_x=log_x)
-
-
-def spin_law(table: LogWeightTable, B: float = 0.0) -> SpinLaw:
+def spin_law(table: LogG, B: float = 0.0) -> SpinLaw:
     """Normalized law of the up-spin count at field B, with psi_n, M_n and chi_n.
 
-    One exp gives e = exp(w - max w) for the tilted log-weights w; its sum
-    gives z = max w + log sum(e), so psi_n = beta d/2 - B + z/n, and the
-    masses e / sum(e), normalised to a few ulp. Taking them as exp(w - z)
-    instead would scale all of them by the rounding of z, ~ulp(|z|) ~ 1e-12
-    at n = 8000. M_n = E[S]/n = dpsi_n/dB sums the masses against S.
-    chi_n = Var(S)/n = d^2 psi_n/dB^2 is the centred second moment:
-    E[S^2] - E[S]^2 would cancel ~n-fold in the ordered phase.
+    The tilted log-weights are w_j = log C(n, j) + log g(dj, dn) + 2 B j.
+    One exp gives e = exp(w - max w); its sum gives z = max w + log sum(e),
+    so psi_n = beta d/2 - B + z/n, and the masses e / sum(e), normalised to
+    a few ulp. Taking them as exp(w - z) instead would scale all of them by
+    the rounding of z, ~ulp(|z|) ~ 1e-12 at n = 8000. M_n = E[S]/n =
+    dpsi_n/dB sums the masses against S. chi_n = Var(S)/n = d^2 psi_n/dB^2
+    is the centred second moment: E[S^2] - E[S]^2 would cancel ~n-fold in
+    the ordered phase.
     """
     if not math.isfinite(B):
         raise ValueError(f"B={B}: need a finite field")
     n = table.n
     j, s = _spin_grid(n)
-    w = table.log_x + 2.0 * B * j
+    w = _log_binomials(n) + table.values + 2.0 * B * j
     top, masses = _shifted_exp(w)
     total = float(np.sum(masses))
     z = top + math.log(total)
@@ -274,21 +257,21 @@ def finite_size_checks(
     `spinlaw_csv` set, the window's law at its largest n is written there by
     `write_spinlaw_csv`.
     """
-    checks = [free_spin_closed_forms(build_table(d, ns[0], 0.0, cache_dir=cache_dir))]
-    laws = {n: spin_law(build_table(d, n, _BETA_GAP, cache_dir=cache_dir), _B_GAP) for n in ns}
+    checks = [free_spin_closed_forms(log_g_table(d, ns[0], 0.0, cache_dir=cache_dir))]
+    laws = {n: spin_law(log_g_table(d, n, _BETA_GAP, cache_dir=cache_dir), _B_GAP) for n in ns}
     checks.append(pressure_gap_shrinks([laws[n] for n in ns]))
     checks.append(derivative_consistency(laws[500 if 500 in ns else max(ns)]))
     if d >= 3:
         bc = critical_beta(d)
         ns_c = tuple(n for n in ns if n >= 200) or (500, 1000)
-        window = [spin_law(build_table(d, n, bc, cache_dir=cache_dir)) for n in ns_c]
+        window = [spin_law(log_g_table(d, n, bc, cache_dir=cache_dir)) for n in ns_c]
         checks.append(critical_window(window))
         if spinlaw_csv is not None:
             write_spinlaw_csv(max(window, key=lambda law: law.n), spinlaw_csv)
     return checks
 
 
-def free_spin_closed_forms(table: LogWeightTable) -> dict:
+def free_spin_closed_forms(table: LogG) -> dict:
     """A beta = 0 table against psi = log 2 cosh B, M = tanh B at B = 0.7 and chi(0) = 1.
 
     All three are exact up to table rounding, so the tolerance is 1e-12.

@@ -62,8 +62,8 @@ and the rows are returned as 0 (and -2β on odd rows) without the solve; the
 free table is exactly 0.
 
 `log_factorials` slices one log-factorial prefix that is shared by every
-caller, read-only, and kept for the life of the process; it serves
-`finiten.build_table`'s binomials, so it holds 8·max(n) bytes.
+caller, read-only, and kept for the life of the process; it serves the
+log C(n, j) that `finiten.spin_law` adds, so it holds 8·max(n) bytes.
 """
 
 from __future__ import annotations

@@ -42,8 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "ModelParams",
     "ThermoPoint",
@@ -113,30 +111,29 @@ class ThermoPoint:
 # the elementary functions
 
 
-def _f(s, c):
-    """f(s) for array/scalar s in [0, 1/2]; c = exp(-2 beta). No domain check."""
-    u = 1.0 - 2.0 * np.asarray(s, dtype=np.float64)
-    return (c * u + np.sqrt(1.0 + (c * c - 1.0) * u * u)) / (2.0 - 2.0 * np.asarray(s))
+def _f(s: float, c: float) -> float:
+    """f(s) for s in [0, 1/2]; c = exp(-2 beta). No domain check."""
+    u = 1.0 - 2.0 * s
+    return (c * u + math.sqrt(1.0 + (c * c - 1.0) * u * u)) / (2.0 - 2.0 * s)
 
 
-def _logf(s, c):
+def _logf(s: float, c: float) -> float:
     """log f(s), written so the value stays accurate to ~1 ulp *absolute* as f -> 1.
 
     log f = log1p(c*u + (c^2-1)u^2/(1+R)) - log1p(u) with R the radical; both
     pieces vanish smoothly at s = 1/2 (u = 0), so no cancellation is left.
     """
-    s = np.asarray(s, dtype=np.float64)
     u = 1.0 - 2.0 * s
     a = c * c - 1.0
-    r = np.sqrt(1.0 + a * u * u)
-    return np.log1p(c * u + a * u * u / (1.0 + r)) - np.log1p(u)
+    r = math.sqrt(1.0 + a * u * u)
+    return math.log1p(c * u + a * u * u / (1.0 + r)) - math.log1p(u)
 
 
 def f_beta(s: float, beta: float) -> float:
     """The edge-weight generating function f(s) on [0, 1/2]."""
     if not 0.0 <= s <= 0.5:
         raise ValueError(f"s={s} outside [0, 1/2]")
-    return float(_f(s, math.exp(-2.0 * beta)))
+    return _f(s, math.exp(-2.0 * beta))
 
 
 def F_beta(t: float, beta: float) -> float:
@@ -176,8 +173,8 @@ def dH_beta(t: float, d: int, beta: float) -> float:
     ent = math.log1p(-2.0 * s) - math.log1p(2.0 * s)  # log((1-t)/t), exact near 1/2
     c = math.exp(-2.0 * beta)
     if t < 0.5:
-        return ent + d * float(_logf(t, c))
-    return ent - d * float(_logf(1.0 - t, c))
+        return ent + d * _logf(t, c)
+    return ent - d * _logf(1.0 - t, c)
 
 
 def d2H_beta(t: float, d: int, beta: float) -> float:
@@ -190,7 +187,7 @@ def d2H_beta(t: float, d: int, beta: float) -> float:
         raise ValueError(f"t={t}: endpoint is singular, domain is (0, 1)")
     tt = max(t, 1.0 - t)
     c = math.exp(-2.0 * beta)
-    th2 = float(_f(1.0 - tt, c))
+    th2 = _f(1.0 - tt, c)
     one_m = 1.0 - tt
     P = d * one_m * (c * th2 - 1.0) + c * (2.0 * tt - 1.0) * th2 + 2.0 * one_m
     Q = tt * one_m * (c * (2.0 * tt - 1.0) * th2 + 2.0 * one_m)

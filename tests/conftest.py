@@ -6,7 +6,7 @@ each once and letting the disk cache serve repeats keeps the suite fast.
 
 import pytest
 
-from annealed_ising import build_table
+from annealed_ising import log_g_table
 
 
 @pytest.fixture(scope="session")
@@ -16,13 +16,13 @@ def cache_dir(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def get_table(cache_dir):
-    """Memoized (d, n, beta) -> LogWeightTable, backed by the session cache."""
+    """Memoized (d, n, beta) -> log_g_table(...), backed by the session cache."""
     memo = {}
 
     def get(d, n, beta):
         key = (d, n, float(beta))
         if key not in memo:
-            memo[key] = build_table(d, n, float(beta), cache_dir=cache_dir)
+            memo[key] = log_g_table(d, n, float(beta), cache_dir=cache_dir)
         return memo[key]
 
     return get

@@ -19,13 +19,13 @@ import pytest
 
 from annealed_ising import (
     brute_force_law,
-    build_table,
     critical_beta,
     cross_count_law,
     finite_pressure_increment,
     fit_exponent_beta,
     fit_exponent_delta,
     fit_exponent_gamma,
+    log_g_table,
     mgf_scaled,
     scaling_limit,
     scaling_limit_check,
@@ -332,7 +332,7 @@ def test_c6_pressure_gap_shrinks(get_table):
 def test_c6_free_spin_closed_forms():
     """beta=0: psi_n = log(2 cosh B) and chi_n(0) = 1, within 1e-12."""
     t0 = time.monotonic()
-    t = build_table(3, 250, 0.0)
+    t = log_g_table(3, 250, 0.0)
     for B in (0.0, 0.7):
         assert abs(spin_law(t, B).psi - math.log(2.0 * math.cosh(B))) <= 1e-12
     assert abs(spin_law(t, 0.0).chi - 1.0) <= 1e-12

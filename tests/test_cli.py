@@ -11,7 +11,6 @@ import pytest
 
 from annealed_ising import (
     ModelParams,
-    build_table,
     cli,
     critical_beta,
     matching,
@@ -23,6 +22,20 @@ from annealed_ising.matching import cache_path
 from test_thermo import _golden_section_pressure
 
 BC3 = critical_beta(3)
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    """Counter of the table fills, keyed by (d, n, beta), made while the test runs."""
+    counts = Counter()
+    real = matching.gtable_values
+
+    def counting(d, n, beta):
+        counts[d, n, beta] += 1
+        return real(d, n, beta)
+
+    monkeypatch.setattr(matching, "gtable_values", counting)
+    return counts
 
 
 def read_csv(path):
@@ -56,6 +69,41 @@ def test_gtable_writes_and_caches(tmp_path):
     stamp = cached.stat().st_mtime_ns
     assert main(args) == 0  # second run hits the cache
     assert cached.stat().st_mtime_ns == stamp
+
+
+def test_the_free_table_prints_every_row_as_zero(capsys):
+    # at beta = 0, g = 1 exactly, so every log_g must print as 0.0
+    assert main(["gtable", "--d", "3", "--n", "8000", "--beta", "0"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "j,log_g" and len(rows) == 8001
+    assert {row.split(",")[1] for row in rows} == {"0.0"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gtable", "--d", "3", "--n", "10", "--beta", "0.5"],
+        # a blocked fill of 188 blocks of 64 steps
+        ["gtable", "--d", "3", "--n", "8000", "--beta", "0.55"],
+        ["thermo", "--d", "3", "--n", "8000", "--beta", "0.6", "--B-range", "0:0.2:6"],
+        ["verify", "--suite", "finiten", "--d", "3"],
+        ["verify", "--suite", "scaling", "--d", "3"],
+    ],
+)
+def test_a_cache_hit_prints_the_bytes_of_the_miss(argv, fills, tmp_path, capsys):
+    # the first run fills every table into a fresh cache, the second reads them
+    # back and must print the same bytes; the finiten and scaling suites may
+    # exit 1 on their asymptotic-only gates, so only the codes' equality is gated
+    cache = tmp_path / "cache"
+    argv = argv + ["--cache-dir", str(cache)]
+    miss_rc = main(argv)
+    miss = capsys.readouterr().out
+    filled = sum(fills.values())
+    assert miss_rc in (0, 1)
+    assert filled > 0 and len(list(cache.iterdir())) == filled
+    assert main(argv) == miss_rc
+    assert capsys.readouterr().out == miss
+    assert sum(fills.values()) == filled  # every table of the second run was a hit
 
 
 def test_gtable_usage_errors(tmp_path):
@@ -154,7 +202,7 @@ def test_thermo_finite_mode_matches_library(tmp_path, cache_dir):
     header, rows = read_csv(out)
     assert header == ["n", "beta", "B", "psi_n", "M_n", "chi_n"]
     assert [r["n"] for r in rows] == ["100", "200"]
-    t = build_table(3, 100, 0.4, cache_dir=cache_dir)
+    t = matching.log_g_table(3, 100, 0.4, cache_dir=cache_dir)
     assert float(rows[0]["psi_n"]) == spin_law(t, 0.1).psi  # 17-digit round trip
 
 
@@ -200,6 +248,10 @@ def test_flag_conflicts_are_usage_errors():
         ["verify", "--suite", "exponents", "--d", "3", "--n-list", "10,20"],
         ["verify", "--suite", "jump", "--d", "3", "--n-list", "10,20"],
         ["verify", "--suite", "matching", "--d", "3", "--n-list", "10,20"],
+        ["verify", "--suite", "taylor", "--d", "3", "--n", "10"],
+        # gtable emits one table: one --n and one --beta
+        ["gtable", "--d", "3", "--n", "10", "--beta", "0.5", "--n-list", "10,20"],
+        ["gtable", "--d", "3", "--n", "10", "--beta", "0.5", "--beta-range", "0.1:0.2:2"],
     ],
 )
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
@@ -338,17 +390,9 @@ def test_verify_finiten_writes_sibling_spinlaw(tmp_path, cache_dir):
     assert len(text.splitlines()) == 1 + 501  # the law at the window's largest n
 
 
-def test_verify_finiten_out_fills_each_table_once(monkeypatch, tmp_path):
+def test_verify_finiten_out_fills_each_table_once(fills, monkeypatch, tmp_path):
     # without a cache, spinlaw.csv must come from the law the checks built,
     # not from a second fill of the window's largest table
-    fills = Counter()
-    real = matching.gtable_values
-
-    def counting(d, n, beta):
-        fills[d, n, beta] += 1
-        return real(d, n, beta)
-
-    monkeypatch.setattr(matching, "gtable_values", counting)
     monkeypatch.delenv(matching.CACHE_ENV, raising=False)
     out = tmp_path / "f.json"
     rc = main(["verify", "--suite", "finiten", "--d", "3", "--out", str(out)])

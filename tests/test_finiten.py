@@ -10,7 +10,6 @@ import pytest
 
 from annealed_ising import (
     ModelParams,
-    build_table,
     critical_beta,
     finite_size_checks,
     finite_pressure_increment,
@@ -26,37 +25,44 @@ from annealed_ising.matching import log_g_table
 BC3 = critical_beta(3)
 
 
+def _log_x(table):
+    """The untilted log-weights log C(n, j) + log g(dj, dn) that spin_law sums, bitwise."""
+    return finiten._log_binomials(table.n) + table.values
+
+
 def test_table_assembly_and_immutability(get_table):
     t = get_table(3, 100, 0.4)
     assert t.n == 100 and t.d == 3
-    assert t.log_x.shape == (101,)
+    assert t.values.shape == (101,)
     with pytest.raises(ValueError):
-        t.log_x[0] = 1.0  # the buffer is frozen
+        t.values[0] = 1.0  # the buffer is frozen
 
 
 def test_binomial_part_is_exact():
-    # log_x minus the table's own g-part must be log C(n, j); math.comb is
-    # an exact big-integer oracle for it
+    # the row spin_law adds must be log C(n, j); math.comb is an exact
+    # big-integer oracle for it
     n = 60
-    gt = log_g_table(3, n, 0.55)
-    t = build_table(3, n, 0.55)
+    row = finiten._log_binomials(n)
     for j in range(n + 1):
-        lb = t.log_x[j] - gt.values[j]
-        assert lb == pytest.approx(math.log(math.comb(n, j)), abs=1e-11), j
+        assert row[j] == pytest.approx(math.log(math.comb(n, j)), abs=1e-11), j
 
 
 def test_binomial_part_is_bitwise_the_lgamma_expression():
     # assembling log C(n, j) from the log-factorial prefix keeps every double
-    # of the per-entry lgamma expression it replaced
+    # of the per-entry lgamma expression it replaced; the row is memoised per
+    # n and shared, so it must be read-only
     n = 1000
-    gt = log_g_table(3, n, 0.4)
     lc = math.lgamma(n + 1.0)
     lbinom = lc - np.array([math.lgamma(i + 1.0) + math.lgamma(n - i + 1.0) for i in range(n + 1)])
-    assert np.array_equal(build_table(3, n, 0.4).log_x, lbinom + gt.values)
+    row = finiten._log_binomials(n)
+    assert np.array_equal(row, lbinom)
+    assert finiten._log_binomials(n) is row
+    with pytest.raises(ValueError):
+        row[0] = 1.0
 
 
 def test_free_spins_have_closed_forms():
-    t = build_table(3, 200, 0.0)
+    t = log_g_table(3, 200, 0.0)
     for B in (0.0, 0.7, 1.5):
         law = spin_law(t, B)
         assert law.psi == pytest.approx(math.log(2.0 * math.cosh(B)), abs=1e-12)
@@ -68,7 +74,7 @@ def test_free_spins_have_closed_forms():
 def _fsum_susceptibility(table, B):
     """Var(S)/n under the B-tilted weights, centred and summed with math.fsum."""
     n = table.n
-    logs = [float(v) + 2.0 * B * j for j, v in enumerate(table.log_x)]
+    logs = [float(v) + 2.0 * B * j for j, v in enumerate(_log_x(table))]
     top = max(logs)
     w = [math.exp(v - top) for v in logs]
     z = math.fsum(w)
@@ -150,7 +156,7 @@ def test_magnetization_and_susceptibility_match_the_decimal_oracle(get_table, be
     # the free-spin law at the field free_spin_closed_forms uses
     n = 8000
     t = get_table(3, n, beta)
-    js, x, m, mean, var = _decimal_law(t.log_x + 2.0 * B * np.arange(n + 1, dtype=np.float64))
+    js, x, m, mean, var = _decimal_law(_log_x(t) + 2.0 * B * np.arange(n + 1, dtype=np.float64))
     abs_M, rel_chi = _spin_law_error_bounds(n, js, x, m, mean, var)
     law = spin_law(t, B)
     assert abs(law.M - mean / n) <= abs_M
@@ -214,7 +220,7 @@ def _lse_full(v):
 
 def _increment_full(t, B, dB):
     j = np.arange(t.n + 1, dtype=np.float64)
-    w = t.log_x + 2.0 * B * j
+    w = _log_x(t) + 2.0 * B * j
     p = np.exp(w - float(np.max(w)))
     p /= np.sum(p)
     return math.log(float(np.sum(p * np.exp(2.0 * dB * j)))) / t.n - dB
@@ -229,9 +235,10 @@ def test_skipped_lanes_keep_every_query_bitwise(get_table, n, beta, Bs, underflo
     # psi_n and the increment are bitwise the full-exp forms, the mgfs sit
     # within the derived bound of the decimal oracle
     t = get_table(3, n, beta)
+    log_x = _log_x(t)
     j = np.arange(n + 1, dtype=np.float64)
     for B in Bs:
-        w = t.log_x + 2.0 * B * j
+        w = log_x + 2.0 * B * j
         zeros = np.count_nonzero(np.exp(w - float(np.max(w))) == 0.0)
         assert zeros > n // 2 if underflow else zeros == 0
         law = spin_law(t, B)
@@ -239,15 +246,15 @@ def test_skipped_lanes_keep_every_query_bitwise(get_table, n, beta, Bs, underflo
         for dB in (1e-5, -1e-5, 0.01):
             assert finite_pressure_increment(law, dB) == _increment_full(t, B, dB)
     law = spin_law(t)
-    js, x, m = _decimal_law(t.log_x)[:3]
+    js, x, m = _decimal_law(log_x)[:3]
     everywhere = np.ones(n + 1, dtype=bool)
     for r in (0.5, 1.0, 2.0, -2.0, 10.0):
-        want = _decimal_mgf(t.log_x, r, everywhere)
+        want = _decimal_mgf(log_x, r, everywhere)
         assert abs(mgf_scaled(law, r) - want) <= _mgf_error_bound(n, js, x, m, r, everywhere) * want, r
     if beta == BC3:
         rep = truncation_check(law)
         inside = np.abs(j - n // 2) <= n ** (5.0 / 6.0)
-        want = _decimal_mgf(t.log_x, 1.0, inside)
+        want = _decimal_mgf(log_x, 1.0, inside)
         assert abs(rep.mgf_windowed - want) <= _mgf_error_bound(n, js, x, m, 1.0, inside) * want
 
 
@@ -494,7 +501,7 @@ def test_finite_pressure_matches_enumerated_pairings(d, n):
         z = math.fsum(w.values())
         mean = math.fsum(v * s for (_, s), v in w.items()) / z
         var = math.fsum(v * (s - mean) ** 2 for (_, s), v in w.items()) / z
-        law = spin_law(build_table(d, n, beta), B)
+        law = spin_law(log_g_table(d, n, beta), B)
         assert abs(law.psi - math.log(z / pairings) / n) <= 1e-14, (beta, B)
         assert abs(law.M - mean / n) <= 1e-14, (beta, B)
         assert abs(law.chi - var / n) <= 1e-14, (beta, B)

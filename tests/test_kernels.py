@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from annealed_ising import build_table, critical_beta, kernels
+from annealed_ising import critical_beta, finiten, kernels, log_g_table, spin_law
 from annealed_ising.kernels import KERNEL_BACKEND, gtable_values, log_factorials
 from annealed_ising.matching import brute_force_law, cross_count_law
 
@@ -140,15 +140,22 @@ def test_log_factorials_grow_one_prefix_bitwise_in_any_call_order(monkeypatch):
 
 
 def test_a_cached_table_costs_no_lgamma(monkeypatch, tmp_path):
+    # the miss fills the table and, from an empty prefix, the binomial row;
+    # the hit reads both back and must give the same law bit for bit
     monkeypatch.setattr(kernels, "_prefix", np.empty(0))
+    finiten._log_binomials.cache_clear()
     beta = critical_beta(3)
-    first = build_table(3, 1000, beta, cache_dir=tmp_path)  # a miss: fills the table
+    miss = log_g_table(3, 1000, beta, cache_dir=tmp_path)
+    first = spin_law(miss)
     calls = []
     lgamma = math.lgamma
     monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
-    hit = build_table(3, 1000, beta, cache_dir=tmp_path)
+    hit = log_g_table(3, 1000, beta, cache_dir=tmp_path)
+    law = spin_law(hit)
     assert calls == []
-    assert np.array_equal(hit.log_x, first.log_x)
+    assert np.array_equal(hit.values, miss.values)
+    assert np.array_equal(law.masses, first.masses)
+    assert (law.psi, law.M, law.chi) == (first.psi, first.M, first.chi)
 
 
 def test_backend_name_is_sane():
