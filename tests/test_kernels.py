@@ -141,12 +141,15 @@ def test_log_factorials_grow_one_prefix_bitwise_in_any_call_order(monkeypatch):
 
 def test_a_cached_table_costs_no_lgamma(monkeypatch, tmp_path):
     # the miss fills the table and, from an empty prefix, the binomial row;
-    # the hit reads both back and must give the same law bit for bit
+    # the hit reads the table back and, with the row memo cleared, rebuilds
+    # the row from the prefix: neither may call lgamma, and the law must
+    # keep every bit
     monkeypatch.setattr(kernels, "_prefix", np.empty(0))
     finiten._log_binomials.cache_clear()
     beta = critical_beta(3)
     miss = log_g_table(3, 1000, beta, cache_dir=tmp_path)
     first = spin_law(miss)
+    finiten._log_binomials.cache_clear()
     calls = []
     lgamma = math.lgamma
     monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
