@@ -205,14 +205,14 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 
 def _write_siblings(cfg: argparse.Namespace, checks: list[dict]) -> None:
-    """scan.csv from scaling_limit; the finiten suite writes its spinlaw.csv itself."""
+    """The scaling suite's sibling from scaling_limit; the finiten suite writes its own."""
     for c in checks:
         if c["check"] == "scaling_limit":
             est = c["estimates"]
             rows = zip(c["grid"], est["moment2"], est["moment4"], est["ks_distance"])
             lines = ["n,moment2,moment4,ks_distance"]
             lines += [f"{n},{m2!r},{m4!r},{ks!r}" for n, m2, m4, ks in rows]
-            _write(_sibling(cfg.out, "scan.csv"), "\n".join(lines) + "\n")
+            _write(_sibling(cfg.out, _SIBLINGS["scaling"]), "\n".join(lines) + "\n")
 
 
 def _given_sizes(cfg: argparse.Namespace) -> tuple:
@@ -231,11 +231,13 @@ _SUITES = {
         cfg.d,
         *_given_sizes(cfg),
         cache_dir=cfg.cache_dir,
-        spinlaw_csv=_sibling(cfg.out, "spinlaw.csv") if cfg.out else None,
+        spinlaw_csv=_sibling(cfg.out, _SIBLINGS["finiten"]) if cfg.out else None,
     ),
     "matching": lambda cfg: [matching.pairing_law_exact(), matching.table_identities(cfg.cache_dir)],
 }
 SUITES = tuple(_SUITES)
+# the file a suite writes next to its --out report
+_SIBLINGS = {"scaling": "scan.csv", "finiten": "spinlaw.csv"}
 _SIZED_SUITES = ("scaling", "finiten")  # the suites that read --n/--n-list
 _PARSER = _parser()
 
@@ -254,6 +256,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"--out {cfg.out!r} is a directory; name a file")
             if not os.path.isdir(os.path.dirname(os.path.abspath(cfg.out))):
                 raise ValueError(f"--out {cfg.out!r}: its directory does not exist")
+            if cfg.command == "verify" and os.path.basename(os.path.abspath(cfg.out)) == _SIBLINGS.get(cfg.suite):
+                raise ValueError(f"--out {cfg.out!r} names the file the {cfg.suite} suite writes beside it")
         if cfg.command == "gtable":
             return cmd_gtable(cfg)
         if cfg.command == "thermo":

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finiten import mgf_scaled, spin_law
+from .finiten import _distinct_sizes, _grid, mgf_scaled, spin_law
 from .matching import log_g_table
 from .quadrature import _nodes
 from .thermo import ModelParams, _logf, critical_beta, dH_beta, thermo_point
@@ -367,7 +367,7 @@ def _ks_distance(law, limit: ScalingLimit) -> float:
     times cheaper than ys**4 (libm pow) and within two ulps of it.
     """
     n = law.n
-    atoms = (2.0 * np.arange(n + 1, dtype=np.float64) - n) / n**0.75
+    atoms = _grid(n)[1] / n**0.75
     cum = np.cumsum(law.masses)
     a = limit.quartic_coeff
     x16, w16 = _nodes(16)
@@ -395,9 +395,7 @@ def scaling_limit_check(
     (strictly decreasing), and the scaled mgf at the largest n (within 2% of
     the limit's moment-series values, `ScalingLimit.mgf`).
     """
-    n_list = tuple(sorted(n_list))
-    if len(n_list) < 2 or len(set(n_list)) != len(n_list):
-        raise ValueError(f"n_list={n_list}: need at least two distinct sizes")
+    n_list = _distinct_sizes(n_list)
     rs = (0.5, 1.0, 2.0)
     limit = scaling_limit(d)
     bc = critical_beta(d)

@@ -6,13 +6,14 @@ The annealed partition function factors over the number j of up spins:
 
 so every finite-n quantity reduces to the table log g(d j, d n) that
 `matching.log_g_table` builds and caches. `spin_law(table, B)` is the one
-evaluation at a field: it adds log C(n, j) (a row memoised per n) and the
-tilt 2 B j, so one table serves a whole field scan, exponentiates the
-weights once and carries the law of S = 2j - n with psi_n = beta d/2 - B +
-(1/n) log sum_j C(n, j) g(d j, d n) e^{2Bj}, M_n = E[S]/n and chi_n =
-Var(S)/n. Every other finite-n number sums against that law's masses: the
-pressure increment, the scaled mgf and the critical-window truncation. The
-`finiten` verify suite's checks sit at the end.
+evaluation at a field: it adds log C(n, j) and the tilt 2 B j, so one table
+serves a whole field scan, exponentiates the weights once and carries the
+law of S = 2j - n with psi_n = beta d/2 - B + (1/n) log sum_j C(n, j)
+g(d j, d n) e^{2Bj}, M_n = E[S]/n and chi_n = Var(S)/n. Every other
+finite-n number sums against that law's masses: the pressure increment, the
+scaled mgf and the critical-window truncation. The `finiten` verify suite's
+checks sit at the end. The only state is the memo `_grid(n)` of the j, S
+and log C(n, j) rows, a function of n alone.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import log_factorials
 from .matching import LogG, log_g_table
 from .thermo import ModelParams, critical_beta, thermo_point
 
@@ -76,7 +76,7 @@ class SpinLaw:
         """
         if k < 0:
             raise ValueError(f"k={k}: need a non-negative power")
-        power, base = None, _spin_grid(self.n)[1]
+        power, base = None, _grid(self.n)[1]
         while k:
             if k & 1:
                 power = base if power is None else power * base
@@ -103,22 +103,27 @@ class TruncationReport:
 
 
 @functools.lru_cache(maxsize=64)
-def _spin_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only j = 0..n and s = 2j - n as float64 (memoised per n)."""
+def _grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only j = 0..n, s = 2j - n and log C(n, j) as float64 (memoised per n).
+
+    log C(n, j) = log n! - (log j! + log (n-j)!), each log i! the per-entry
+    math.lgamma(i + 1.0): n + 1 lgamma calls per new n.
+    """
     j = np.arange(n + 1, dtype=np.float64)
     s = 2.0 * j - n
-    j.setflags(write=False)
-    s.setflags(write=False)
-    return j, s
+    lf = np.fromiter(map(math.lgamma, (j + 1.0).tolist()), np.float64, n + 1)
+    log_binom = lf[n] - (lf + lf[::-1])
+    for row in (j, s, log_binom):
+        row.setflags(write=False)
+    return j, s, log_binom
 
 
-@functools.lru_cache(maxsize=64)
-def _log_binomials(n: int) -> np.ndarray:
-    """Read-only log C(n, j) for j = 0..n from the shared log-factorial prefix (memoised per n)."""
-    lf = log_factorials(n)
-    row = lf[n] - (lf + lf[::-1])
-    row.setflags(write=False)
-    return row
+def _distinct_sizes(ns: tuple[int, ...]) -> tuple[int, ...]:
+    """The sizes sorted; a ValueError unless there are at least two, all distinct."""
+    ns = tuple(sorted(ns))
+    if len(ns) < 2 or len(set(ns)) != len(ns):
+        raise ValueError(f"n_list={ns}: need at least two distinct sizes")
+    return ns
 
 
 def _shifted_exp(v: np.ndarray) -> tuple[float, np.ndarray]:
@@ -145,8 +150,8 @@ def spin_law(table: LogG, B: float = 0.0) -> SpinLaw:
     if not math.isfinite(B):
         raise ValueError(f"B={B}: need a finite field")
     n = table.n
-    j, s = _spin_grid(n)
-    w = _log_binomials(n) + table.values + 2.0 * B * j
+    j, s, log_binom = _grid(n)
+    w = log_binom + table.values + 2.0 * B * j
     top, masses = _shifted_exp(w)
     total = float(np.sum(masses))
     z = top + math.log(total)
@@ -169,7 +174,7 @@ def finite_pressure_increment(law: SpinLaw, dB: float) -> float:
     """
     if not math.isfinite(dB):
         raise ValueError(f"dB={dB}: need a finite field step")
-    j = _spin_grid(law.n)[0]
+    j = _grid(law.n)[0]
     return math.log(float(np.sum(law.masses * np.exp(2.0 * dB * j)))) / law.n - dB
 
 
@@ -183,7 +188,7 @@ def mgf_scaled(law: SpinLaw, r: float) -> float:
         raise ValueError(f"r={r}: need a finite scaled tilt with |r| <= 10")
     if r == 0.0:
         return 1.0
-    shift = r * _spin_grid(law.n)[1] / law.n**0.75
+    shift = r * _grid(law.n)[1] / law.n**0.75
     return float(np.sum(law.masses * np.exp(shift)))
 
 
@@ -209,7 +214,7 @@ def truncation_check(law: SpinLaw) -> TruncationReport:
     full = mgf_scaled(law, 1.0)
     n = law.n
     w = n ** (5.0 / 6.0)
-    j, s = _spin_grid(n)
+    j, s, _ = _grid(n)
     inside = np.abs(j - n // 2) <= w
     tail = float(np.sum(law.masses[~inside]))
     kept = law.masses[inside]
@@ -251,12 +256,14 @@ def finite_size_checks(
 ) -> list[dict]:
     """The four checks below, on tables and laws built once each.
 
-    The free-spin forms use the first size; derivative_consistency reuses the
-    n = 500 law of the pressure gaps (else the largest); the critical window,
-    only for d >= 3, takes the sizes >= 200 (else 500 and 1000). With
-    `spinlaw_csv` set, the window's law at its largest n is written there by
-    `write_spinlaw_csv`.
+    The sizes are sorted; fewer than two, or a repeated one, is a ValueError,
+    as in `criticality.scaling_limit_check`. The free-spin forms use the
+    smallest size; derivative_consistency reuses the n = 500 law of the
+    pressure gaps (else the largest); the critical window, only for d >= 3,
+    takes the sizes >= 200 (else 500 and 1000). With `spinlaw_csv` set, the
+    window's law at its largest n is written there by `write_spinlaw_csv`.
     """
+    ns = _distinct_sizes(ns)
     checks = [free_spin_closed_forms(log_g_table(d, ns[0], 0.0, cache_dir=cache_dir))]
     laws = {n: spin_law(log_g_table(d, n, _BETA_GAP, cache_dir=cache_dir), _B_GAP) for n in ns}
     checks.append(pressure_gap_shrinks([laws[n] for n in ns]))

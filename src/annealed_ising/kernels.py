@@ -1,4 +1,4 @@
-"""Log-factorial prefix and the blocked O(dn) recurrence fill of the log g-table.
+"""The blocked O(dn) recurrence fill of the log g-table.
 
 Row j of the table is log g_k with k = dj, m = dn and g_k = E[c^X], c =
 e^{-2β}, X the cross count of a uniform perfect matching of m points with k
@@ -60,10 +60,6 @@ ulp of |log g| > 4096 is already 9.1e-13. Where c² rounds to 1 (β = 0, or
 β below ~1.4e-17) every step is (m-k)/(m-k) = 1 exactly, so every f_k is 1
 and the rows are returned as 0 (and -2β on odd rows) without the solve; the
 free table is exactly 0.
-
-`log_factorials` slices one log-factorial prefix that is shared by every
-caller, read-only, and kept for the life of the process; it serves the
-log C(n, j) that `finiten.spin_law` adds, so it holds 8·max(n) bytes.
 """
 
 from __future__ import annotations
@@ -74,32 +70,13 @@ import numpy as np
 
 KERNEL_BACKEND = "numpy"
 
-__all__ = ["KERNEL_BACKEND", "gtable_values", "log_factorials"]
+__all__ = ["KERNEL_BACKEND", "gtable_values"]
 
 _LN2 = 0.6931471805599453
 # the block length keeps m^((L+1)/2) <= 2^_RANGE: every scaled f_k in a block
 # stays above 2^-(_RANGE+1), far inside the normal range (2^-1022)
 _RANGE = 500
 
-
-# log(i!) for i = 0..size-1, shared by every caller and grown on demand
-_prefix = np.empty(0)
-
-
-def log_factorials(m: int) -> np.ndarray:
-    """log(i!) for i = 0..m, a read-only view of the shared prefix.
-
-    Entry i is math.lgamma(i + 1.0), within ~1 ulp, whatever order the calls
-    come in; a call computes only the entries the prefix does not hold yet.
-    """
-    global _prefix
-    have = _prefix
-    if have.size <= m:
-        new = map(math.lgamma, np.arange(have.size + 1.0, m + 2.0).tolist())
-        have = np.concatenate([have, np.fromiter(new, np.float64, m + 1 - have.size)])
-        have.setflags(write=False)
-        _prefix = have
-    return have[: m + 1]
 
 
 def _check_table_args(d: int, n: int, beta: float) -> None:

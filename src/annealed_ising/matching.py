@@ -5,7 +5,8 @@ subset to its complement. The scalar weight g_beta(k, m) = E[exp(-2*beta*X)]
 is what averaging over the pairing model attaches to a spin split, and the
 per-size table values[j] = log g_beta(dj, dn) feeds every finite-size
 quantity; on disk it is one `.npy` file holding a record of d, n, beta and
-values. Every law here is exact.
+values, in the directory the caller names and nowhere else. Every law here
+is exact.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ __all__ = [
     "pairing_law_exact",
     "table_identities",
 ]
-
-CACHE_ENV = "ANNEALED_ISING_CACHE"
-
 
 @dataclass(frozen=True)
 class LogG:
@@ -136,11 +134,10 @@ def log_g_table(
     beta: float,
     cache_dir: str | os.PathLike | None = None,
 ) -> LogG:
-    """Table of log g_beta(dj, dn) for j = 0..n, optionally cached on disk.
+    """Table of log g_beta(dj, dn) for j = 0..n, cached on disk under `cache_dir` if given.
 
-    The cache directory comes from `cache_dir` or the ANNEALED_ISING_CACHE
-    environment variable; with neither set, nothing touches the filesystem.
-    Callers sharing a cache directory across processes must serialize access.
+    With no `cache_dir`, nothing touches the filesystem. Callers sharing a
+    cache directory across processes must serialize access.
     """
     _check_table_args(d, n, beta)
     beta = float(beta)
@@ -157,36 +154,30 @@ def log_g_table(
 
 
 def cache_path(cache_dir, d: int, n: int, beta: float) -> Path | None:
-    """File the (d, n, beta) table lives at, keyed by the exact beta (its repr)."""
-    root = cache_dir if cache_dir is not None else os.environ.get(CACHE_ENV)
-    if root is None:
+    """File the (d, n, beta) table lives at, keyed by the exact beta (its repr), or None with no directory."""
+    if cache_dir is None:
         return None
-    return Path(root).expanduser() / f"gtable_d{d}_n{n}_b{float(beta)!r}.npy"
+    return Path(cache_dir).expanduser() / f"gtable_d{d}_n{n}_b{float(beta)!r}.npy"
 
 
 @functools.lru_cache(maxsize=64)
-def _record(n: int) -> np.dtype:
-    """The one dtype a cache file for an n-vertex table may hold (memoised per n)."""
-    return np.dtype([("d", "<i8"), ("n", "<i8"), ("beta", "<f8"), ("values", "<f8", (n + 1,))])
-
-
-@functools.lru_cache(maxsize=64)
-def _header(n: int) -> bytes:
-    """The bytes np.lib.format writes ahead of a `_record(n)` record (memoised per n)."""
-    rtype = _record(n)
+def _layout(n: int) -> tuple[np.dtype, bytes]:
+    """The one record dtype a cache file for an n-vertex table may hold, and
+    the header bytes np.lib.format writes ahead of it (memoised per n)."""
+    rtype = np.dtype([("d", "<i8"), ("n", "<i8"), ("beta", "<f8"), ("values", "<f8", (n + 1,))])
     buf = io.BytesIO()
     np.lib.format.write_array(buf, np.zeros((), rtype), allow_pickle=False)
-    return buf.getvalue()[: -rtype.itemsize]
+    return rtype, buf.getvalue()[: -rtype.itemsize]
 
 
 def _read_cache(path: Path, d: int, n: int, beta: float) -> np.ndarray | None:
     """Load a cache record; any mismatch or corruption means 'recompute'.
 
-    The file must be exactly `_header(n)` and one record of dtype `_record(n)`,
+    The file must be exactly the header and one record of `_layout(n)`,
     (d, n, beta) must equal the request bitwise, and every value must be a
     finite log-weight, so <= 0. The values returned are read-only.
     """
-    head, rtype = _header(n), _record(n)
+    rtype, head = _layout(n)
     try:
         with open(path, "rb") as fh:
             buf = fh.read(len(head) + rtype.itemsize + 1)
@@ -205,10 +196,11 @@ def _read_cache(path: Path, d: int, n: int, beta: float) -> np.ndarray | None:
 
 def _write_cache(path: Path, d: int, n: int, beta: float, values: np.ndarray) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
+    rtype, head = _layout(n)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(_header(n) + np.array((d, n, beta, values), dtype=_record(n)).tobytes())
+            fh.write(head + np.array((d, n, beta, values), dtype=rtype).tobytes())
         os.replace(tmp, path)  # atomic on POSIX
     except BaseException:
         if os.path.exists(tmp):

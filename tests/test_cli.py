@@ -390,16 +390,48 @@ def test_verify_finiten_writes_sibling_spinlaw(tmp_path, cache_dir):
     assert len(text.splitlines()) == 1 + 501  # the law at the window's largest n
 
 
-def test_verify_finiten_out_fills_each_table_once(fills, monkeypatch, tmp_path):
+def test_verify_finiten_out_fills_each_table_once(fills, tmp_path):
     # without a cache, spinlaw.csv must come from the law the checks built,
     # not from a second fill of the window's largest table
-    monkeypatch.delenv(matching.CACHE_ENV, raising=False)
     out = tmp_path / "f.json"
     rc = main(["verify", "--suite", "finiten", "--d", "3", "--out", str(out)])
     assert rc == 1  # the critical-window gates are asymptotic-only
     tables = [(250, 0.0)] + [(n, b) for b in (0.4, BC3) for n in (250, 500, 1000)]
     assert fills == Counter({(3, n, b): 1 for n, b in tables})
     assert len((tmp_path / "spinlaw.csv").read_text().splitlines()) == 1 + 1001
+
+
+def test_verify_finiten_sorts_its_sizes(cache_dir, capsys):
+    # the pressure gaps must shrink from the smallest size up, whatever
+    # order the sizes are given in
+    head = ["verify", "--suite", "finiten", "--d", "3", "--cache-dir", cache_dir, "--n-list"]
+    assert main(head + ["250,500,1000"]) == 1  # the critical-window gates are asymptotic-only
+    sorted_report = capsys.readouterr().out
+    assert main(head + ["1000,500,250"]) == 1
+    assert capsys.readouterr().out == sorted_report
+    assert json.loads(sorted_report)["checks"][1]["pass"] is True
+
+
+@pytest.mark.parametrize("sizes", [["--n", "250"], ["--n-list", "250,250"]], ids=["one", "repeated"])
+def test_verify_finiten_needs_two_distinct_sizes(sizes, tmp_path, capsys):
+    # the rule and message of the scaling suite's sizes
+    argv = ["verify", "--suite", "finiten", "--d", "3", "--cache-dir", str(tmp_path / "cache"), *sizes]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: n_list=(250")
+    assert list(tmp_path.iterdir()) == []  # rejected before any table
+
+
+@pytest.mark.parametrize("suite, sibling", [("scaling", "scan.csv"), ("finiten", "spinlaw.csv")])
+def test_out_naming_the_suites_sibling_is_a_usage_error(suite, sibling, tmp_path, capsys):
+    # the sibling would be written first and then overwritten by the report
+    argv = ["verify", "--suite", suite, "--d", "3", "--n-list", "250,500"]
+    assert main(argv + ["--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / sibling)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out ")
+    assert list(tmp_path.iterdir()) == []  # rejected before any work
 
 
 def test_outputs_land_exactly_where_asked(tmp_path):

@@ -20,14 +20,14 @@ from annealed_ising import (
     write_spinlaw_csv,
 )
 from annealed_ising import finiten
-from annealed_ising.matching import log_g_table
+from annealed_ising.matching import cache_path, log_g_table
 
 BC3 = critical_beta(3)
 
 
 def _log_x(table):
     """The untilted log-weights log C(n, j) + log g(dj, dn) that spin_law sums, bitwise."""
-    return finiten._log_binomials(table.n) + table.values
+    return finiten._grid(table.n)[2] + table.values
 
 
 def test_table_assembly_and_immutability(get_table):
@@ -42,23 +42,44 @@ def test_binomial_part_is_exact():
     # the row spin_law adds must be log C(n, j); math.comb is an exact
     # big-integer oracle for it
     n = 60
-    row = finiten._log_binomials(n)
+    row = finiten._grid(n)[2]
     for j in range(n + 1):
         assert row[j] == pytest.approx(math.log(math.comb(n, j)), abs=1e-11), j
 
 
-def test_binomial_part_is_bitwise_the_lgamma_expression():
-    # assembling log C(n, j) from the log-factorial prefix keeps every double
-    # of the per-entry lgamma expression it replaced; the row is memoised per
-    # n and shared, so it must be read-only
-    n = 1000
+@pytest.mark.parametrize("n", [30000, 1, 1000])  # a large size first, then smaller ones
+def test_binomial_part_is_bitwise_the_lgamma_expression(n):
+    # assembling log C(n, j) from one vector of log-factorials keeps every
+    # double of the per-entry lgamma expression; the grid is memoised per n
+    # and shared, so all three of its rows must be read-only
     lc = math.lgamma(n + 1.0)
     lbinom = lc - np.array([math.lgamma(i + 1.0) + math.lgamma(n - i + 1.0) for i in range(n + 1)])
-    row = finiten._log_binomials(n)
+    grid = finiten._grid(n)
+    assert finiten._grid(n) is grid
+    j, s, row = grid
     assert np.array_equal(row, lbinom)
-    assert finiten._log_binomials(n) is row
-    with pytest.raises(ValueError):
-        row[0] = 1.0
+    assert np.array_equal(j, np.arange(n + 1)) and np.array_equal(s, 2 * np.arange(n + 1) - n)
+    for a in grid:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_a_cache_hit_gives_the_law_of_the_miss_bitwise(tmp_path):
+    # the miss fills the table and builds the grid; the hit reads the table
+    # back and, with the grid memo cleared, rebuilds the grid: the law must
+    # keep every bit
+    finiten._grid.cache_clear()
+    beta = critical_beta(3)
+    miss = log_g_table(3, 1000, beta, cache_dir=tmp_path)
+    first = spin_law(miss)
+    assert cache_path(tmp_path, 3, 1000, beta).exists()
+    finiten._grid.cache_clear()
+    hit = log_g_table(3, 1000, beta, cache_dir=tmp_path)
+    law = spin_law(hit)
+    assert finiten._grid.cache_info().misses == 1
+    assert np.array_equal(hit.values, miss.values)
+    assert np.array_equal(law.masses, first.masses)
+    assert (law.psi, law.M, law.chi) == (first.psi, first.M, first.chi)
 
 
 def test_free_spins_have_closed_forms():

@@ -7,8 +7,8 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from annealed_ising import critical_beta, finiten, kernels, log_g_table, spin_law
-from annealed_ising.kernels import KERNEL_BACKEND, gtable_values, log_factorials
+from annealed_ising import critical_beta, kernels
+from annealed_ising.kernels import KERNEL_BACKEND, gtable_values
 from annealed_ising.matching import brute_force_law, cross_count_law
 
 BETAS = ("0", "0.2", "bc", "1.2", "3.0")
@@ -113,52 +113,6 @@ def closed_form_log_g(k, m, beta):
     ]
     top = max(terms)
     return top + math.log(math.fsum(math.exp(t - top) for t in terms))
-
-
-def test_log_factorials_exact_small():
-    lf = log_factorials(20)
-    assert lf.shape == (21,)
-    assert lf[0] == 0.0 and lf[1] == 0.0
-    for i in range(2, 21):
-        assert lf[i] == pytest.approx(math.log(math.factorial(i)), rel=1e-14)
-
-
-def test_log_factorials_is_bitwise_per_entry_lgamma():
-    m = 30000
-    assert np.array_equal(log_factorials(m), [math.lgamma(i + 1.0) for i in range(m + 1)])
-
-
-def test_log_factorials_grow_one_prefix_bitwise_in_any_call_order(monkeypatch):
-    monkeypatch.setattr(kernels, "_prefix", np.empty(0))
-    for m in (10, 3, 30000, 8000):
-        lf = log_factorials(m)
-        assert np.array_equal(lf, [math.lgamma(i + 1.0) for i in range(m + 1)]), m
-        assert not lf.flags.writeable
-        with pytest.raises(ValueError):
-            lf[0] = 1.0
-    assert kernels._prefix.size == 30001  # grown to the largest call, never rebuilt
-
-
-def test_a_cached_table_costs_no_lgamma(monkeypatch, tmp_path):
-    # the miss fills the table and, from an empty prefix, the binomial row;
-    # the hit reads the table back and, with the row memo cleared, rebuilds
-    # the row from the prefix: neither may call lgamma, and the law must
-    # keep every bit
-    monkeypatch.setattr(kernels, "_prefix", np.empty(0))
-    finiten._log_binomials.cache_clear()
-    beta = critical_beta(3)
-    miss = log_g_table(3, 1000, beta, cache_dir=tmp_path)
-    first = spin_law(miss)
-    finiten._log_binomials.cache_clear()
-    calls = []
-    lgamma = math.lgamma
-    monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
-    hit = log_g_table(3, 1000, beta, cache_dir=tmp_path)
-    law = spin_law(hit)
-    assert calls == []
-    assert np.array_equal(hit.values, miss.values)
-    assert np.array_equal(law.masses, first.masses)
-    assert (law.psi, law.M, law.chi) == (first.psi, first.M, first.chi)
 
 
 def test_backend_name_is_sane():

@@ -17,7 +17,7 @@ from annealed_ising import (
     pairing_law_exact,
     table_identities,
 )
-from annealed_ising.matching import CACHE_ENV, _header, _record, cache_path
+from annealed_ising.matching import _layout, cache_path
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +276,12 @@ def test_table_values_are_read_only_on_a_miss_and_a_hit(tmp_path):
 def test_cache_file_is_the_header_and_one_record(tmp_path):
     d, n, beta = 3, 20, 0.3
     values = log_g_table(d, n, beta, cache_dir=tmp_path).values
-    record = np.array((d, n, beta, values), dtype=_record(n))
-    assert cache_path(tmp_path, d, n, beta).read_bytes() == _header(n) + record.tobytes()
-    assert _header(n) + record.tobytes() == _npy(record)  # what np.lib.format writes
-    assert len(_header(n)) % 64 == 0  # so the record's doubles sit aligned
+    rtype, head = _layout(n)
+    assert _layout(n) is _layout(n)
+    record = np.array((d, n, beta, values), dtype=rtype)
+    assert cache_path(tmp_path, d, n, beta).read_bytes() == head + record.tobytes()
+    assert head + record.tobytes() == _npy(record)  # what np.lib.format writes
+    assert len(head) % 64 == 0  # so the record's doubles sit aligned
 
 
 def test_cache_rejects_corruption(tmp_path):
@@ -357,15 +359,16 @@ def test_cache_dir_expands_tilde():
     assert str(p).startswith(str(Path.home()))
 
 
-def test_cache_env_var_and_override(tmp_path, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV, raising=False)
+def test_only_a_named_directory_caches_a_table(tmp_path, monkeypatch):
+    # only cache_dir names a cache directory; the environment is not read
+    monkeypatch.setenv("ANNEALED_ISING_CACHE", str(tmp_path / "env"))
+    monkeypatch.chdir(tmp_path)
     assert cache_path(None, 3, 10, 0.3) is None
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "env"))
-    assert str(cache_path(None, 3, 10, 0.3)).startswith(str(tmp_path / "env"))
-    # explicit directory wins over the environment
-    assert str(cache_path(tmp_path / "arg", 3, 10, 0.3)).startswith(str(tmp_path / "arg"))
-    log_g_table(3, 10, 0.3)  # no cache_dir argument: lands in the env directory
-    assert cache_path(None, 3, 10, 0.3).exists()
+    log_g_table(3, 10, 0.3)
+    assert list(tmp_path.iterdir()) == []
+    log_g_table(3, 10, 0.3, cache_dir=tmp_path / "arg")
+    assert [p.name for p in tmp_path.iterdir()] == ["arg"]
+    assert cache_path(tmp_path / "arg", 3, 10, 0.3).exists()
 
 
 # Each corruption maps the good file's bytes and values to the bytes written
@@ -410,14 +413,14 @@ def test_cache_rejects_a_body_that_is_not_rows_0_to_n(tmp_path, corrupt):
 def _npy_version_2(good, values):
     # a valid .npy of the right record, under a header the writer does not produce
     buf = io.BytesIO()
-    record = np.array((_D, _N, _BETA, values), dtype=_record(_N))
+    record = np.array((_D, _N, _BETA, values), dtype=_layout(_N)[0])
     np.lib.format.write_array(buf, record, version=(2, 0), allow_pickle=False)
     return buf.getvalue()
 
 
 def _padded_header(good, values):
     # the same header dict, padded by 64 more spaces: np.load reads it, the cache does not
-    head = _header(_N)
+    head = _layout(_N)[1]
     text = head[10:-1] + b" " * 64 + b"\n"
     return head[:8] + len(text).to_bytes(2, "little") + text + good[len(head) :]
 
@@ -426,8 +429,9 @@ def _padded_header(good, values):
 @pytest.mark.parametrize("corrupt", [_npy_version_2, _padded_header])
 def test_cache_serves_a_record_only_under_the_writers_header(tmp_path, corrupt):
     fresh = log_g_table(_D, _N, _BETA).values
-    record = np.array((_D, _N, _BETA, fresh), dtype=_record(_N))
-    good = _header(_N) + record.tobytes()
+    rtype, head = _layout(_N)
+    record = np.array((_D, _N, _BETA, fresh), dtype=rtype)
+    good = head + record.tobytes()
     assert np.load(io.BytesIO(corrupt(good, fresh))).tobytes() == record.tobytes()  # a valid .npy
     _assert_rewritten(tmp_path, corrupt)
     assert cache_path(tmp_path, _D, _N, _BETA).read_bytes() == good
