@@ -10,9 +10,12 @@ law with density proportional to exp(-a x^4). That limit rests on H', H'' and
 H''' vanishing at t = 1/2, beta_c with H'''' < 0; the Taylor check measures
 all four by central stencils on the closed-form H' of `thermo.dH_beta`.
 
-Check functions return JSON-ready dicts shaped
-{check, d, grid, estimates, targets, tolerances, pass}; the constants they
-compare against live in one place here, next to their formulas.
+Each check is one function that returns a JSON-ready dict shaped
+{check, d, grid, estimates, targets, tolerances, pass}: `taylor_check`,
+the three `fit_exponent_*` (which add separate exponent_pass and
+amplitude_pass verdicts), `specific_heat_jump` and `scaling_limit_check`.
+Each compares against constants written next to their formulas, and each
+takes beta_c from `_critical_point`, which rejects d < 3.
 """
 
 from __future__ import annotations
@@ -28,14 +31,12 @@ from .quadrature import _nodes
 from .thermo import ModelParams, _logf, critical_beta, dH_beta, thermo_point
 
 __all__ = [
-    "ExponentFit",
     "ScalingLimit",
     "scaling_limit",
     "taylor_check",
     "fit_exponent_beta",
     "fit_exponent_delta",
     "fit_exponent_gamma",
-    "exponent_report",
     "exponent_checks",
     "specific_heat_jump",
     "scaling_limit_check",
@@ -43,28 +44,14 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ExponentFit:
-    """A log-log slope plus the prefactor read off at the finest grid point."""
-
-    exponent_estimate: float
-    amplitude_estimate: float
-    r_squared: float
-    grid: tuple[float, ...]
-    target_exponent: float
-    target_amplitude: float | None
-
-
-@dataclass(frozen=True)
 class ScalingLimit:
     """The law with density exp(-a x^4) / normalizer on the real line.
 
-    quartic_coeff a = (d-1)(d-2)/(12 d^2); alpha_star = -16 a (the division
-    by 16 is exact in floating point, so alpha_star/16 + a == 0 holds
-    bitwise). normalizer is the total integral Gamma(1/4) / (2 a^{1/4}).
+    quartic_coeff a = (d-1)(d-2)/(12 d^2); normalizer is the total integral
+    Gamma(1/4) / (2 a^{1/4}).
     """
 
     d: int
-    alpha_star: float
     quartic_coeff: float
     normalizer: float
     moment2: float
@@ -106,19 +93,19 @@ class ScalingLimit:
                 return math.fsum(terms)
 
 
-def _require_critical_point(d: int) -> None:
-    """beta_c = atanh(1/(d-1)) is finite only for d >= 3."""
+def _critical_point(d: int) -> float:
+    """beta_c = atanh(1/(d-1)), which is finite only for d >= 3."""
     if d < 3:
         raise ValueError(f"d={d}: the critical point needs d >= 3")
+    return critical_beta(d)
 
 
 def scaling_limit(d: int) -> ScalingLimit:
     """Limit law of S_n / n^{3/4} at (beta_c, B=0)."""
-    _require_critical_point(d)
+    _critical_point(d)
     a = (d - 1.0) * (d - 2.0) / (12.0 * d * d)
     return ScalingLimit(
         d=d,
-        alpha_star=-16.0 * a,
         quartic_coeff=a,
         normalizer=math.gamma(0.25) / (2.0 * a**0.25),
         moment2=math.gamma(0.75) / math.gamma(0.25) / math.sqrt(a),
@@ -176,9 +163,8 @@ def taylor_check(d: int) -> dict:
     ~1e-9 while each of its two terms is ~4e-3, so a sample's rounding is
     ~1e-18 and moves the H'''' estimate by ~1e-9.
     """
-    _require_critical_point(d)
     h = _STEP
-    beta = critical_beta(d)
+    beta = _critical_point(d)
     c = math.exp(-2.0 * beta)
     dh, df = {}, {}
     for k in (1, 2, 4):
@@ -214,74 +200,24 @@ def taylor_check(d: int) -> dict:
 # exponent fits
 
 
-def _loglog_fit(grid: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    lx, ly = np.log(grid), np.log(values)
+def _power_law_report(
+    check: str, d: int, grid: np.ndarray, vals: np.ndarray, amp: float, slope_target: float, amp_target: float
+) -> dict:
+    """Fit log vals against log grid; the slope and the amplitude amp get separate verdicts."""
+    lx, ly = np.log(grid), np.log(vals)
     slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
+    ss_res = float(np.sum((ly - (slope * lx + intercept)) ** 2))
     ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), min(1.0, max(0.0, r2))
-
-
-def fit_exponent_beta(d: int) -> ExponentFit:
-    """Spontaneous magnetization onset: M ~ A (beta - beta_c)^{1/2}."""
-    _require_critical_point(d)
-    bc = critical_beta(d)
-    grid = np.geomspace(1e-7, 1e-3, 8)
-    vals = np.array([thermo_point(ModelParams(d, bc + dl, 0.0)).M for dl in grid])
-    slope, r2 = _loglog_fit(grid, vals)
-    amp = float(vals[0] / grid[0] ** 0.5)
-    return ExponentFit(slope, amp, r2, tuple(grid), 0.5, d * math.sqrt(3.0 / (d - 1.0)))
-
-
-def fit_exponent_delta(d: int) -> ExponentFit:
-    """Critical isotherm: M(beta_c, B) ~ A B^{1/3}."""
-    _require_critical_point(d)
-    bc = critical_beta(d)
-    grid = np.geomspace(1e-9, 1e-4, 8)
-    vals = np.array([thermo_point(ModelParams(d, bc, B)).M for B in grid])
-    slope, r2 = _loglog_fit(grid, vals)
-    amp = float(vals[0] / grid[0] ** (1.0 / 3.0))
-    target_amp = 2.0 * (3.0 * d * d / (8.0 * (d - 1.0) * (d - 2.0))) ** (1.0 / 3.0)
-    return ExponentFit(slope, amp, r2, tuple(grid), 1.0 / 3.0, target_amp)
-
-
-def fit_exponent_gamma(d: int, side: str) -> ExponentFit:
-    """Susceptibility divergence chi ~ A |beta - beta_c|^{-1} on either side."""
-    _require_critical_point(d)
-    if side not in ("below", "above"):
-        raise ValueError(f"side={side!r}: expected 'below' or 'above'")
-    bc = critical_beta(d)
-    grid = np.geomspace(1e-7, 1e-3, 8)
-    sign = -1.0 if side == "below" else 1.0
-    vals = np.array([thermo_point(ModelParams(d, bc + sign * dl, 0.0)).chi for dl in grid])
-    slope, r2 = _loglog_fit(grid, vals)
-    amp = float(vals[0] * grid[0])
-    if side == "below":
-        target_amp = 1.0 / (d - 2.0)
-    else:
-        target_amp = (d - 1.0) / ((d - 2.0) * (2.0 * d + 1.0))
-    return ExponentFit(slope, amp, r2, tuple(grid), -1.0, target_amp)
-
-
-def exponent_report(check: str, d: int, fit: ExponentFit) -> dict:
-    """Wrap a fit as a report, keeping slope and amplitude verdicts separate."""
+    r2 = min(1.0, max(0.0, 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot))
     slope_tol, amp_rel_tol, r2_min = 0.02, 0.05, 0.9999
-    slope_ok = abs(fit.exponent_estimate - fit.target_exponent) <= slope_tol and fit.r_squared >= r2_min
-    amp_ok = True
-    if fit.target_amplitude is not None:
-        amp_ok = abs(fit.amplitude_estimate - fit.target_amplitude) <= amp_rel_tol * abs(fit.target_amplitude)
+    slope_ok = abs(slope - slope_target) <= slope_tol and r2 >= r2_min
+    amp_ok = abs(amp - amp_target) <= amp_rel_tol * abs(amp_target)
     return {
         "check": check,
         "d": d,
-        "grid": list(fit.grid),
-        "estimates": {
-            "slope": fit.exponent_estimate,
-            "amplitude": fit.amplitude_estimate,
-            "r_squared": fit.r_squared,
-        },
-        "targets": {"slope": fit.target_exponent, "amplitude": fit.target_amplitude},
+        "grid": grid.tolist(),
+        "estimates": {"slope": float(slope), "amplitude": amp, "r_squared": r2},
+        "targets": {"slope": slope_target, "amplitude": amp_target},
         "tolerances": {"slope_abs": slope_tol, "amplitude_rel": amp_rel_tol, "r_squared_min": r2_min},
         "exponent_pass": bool(slope_ok),
         "amplitude_pass": bool(amp_ok),
@@ -289,13 +225,48 @@ def exponent_report(check: str, d: int, fit: ExponentFit) -> dict:
     }
 
 
+def fit_exponent_beta(d: int) -> dict:
+    """Spontaneous magnetization onset: M ~ A (beta - beta_c)^{1/2}."""
+    bc = _critical_point(d)
+    grid = np.geomspace(1e-7, 1e-3, 8)
+    vals = np.array([thermo_point(ModelParams(d, bc + dl, 0.0)).M for dl in grid])
+    amp = float(vals[0] / grid[0] ** 0.5)
+    return _power_law_report("exponent_beta", d, grid, vals, amp, 0.5, d * math.sqrt(3.0 / (d - 1.0)))
+
+
+def fit_exponent_delta(d: int) -> dict:
+    """Critical isotherm: M(beta_c, B) ~ A B^{1/3}."""
+    bc = _critical_point(d)
+    grid = np.geomspace(1e-9, 1e-4, 8)
+    vals = np.array([thermo_point(ModelParams(d, bc, B)).M for B in grid])
+    amp = float(vals[0] / grid[0] ** (1.0 / 3.0))
+    target_amp = 2.0 * (3.0 * d * d / (8.0 * (d - 1.0) * (d - 2.0))) ** (1.0 / 3.0)
+    return _power_law_report("exponent_delta", d, grid, vals, amp, 1.0 / 3.0, target_amp)
+
+
+def fit_exponent_gamma(d: int, side: str) -> dict:
+    """Susceptibility divergence chi ~ A |beta - beta_c|^{-1} on either side."""
+    bc = _critical_point(d)
+    if side not in ("below", "above"):
+        raise ValueError(f"side={side!r}: expected 'below' or 'above'")
+    grid = np.geomspace(1e-7, 1e-3, 8)
+    sign = -1.0 if side == "below" else 1.0
+    vals = np.array([thermo_point(ModelParams(d, bc + sign * dl, 0.0)).chi for dl in grid])
+    amp = float(vals[0] * grid[0])
+    if side == "below":
+        target_amp = 1.0 / (d - 2.0)
+    else:
+        target_amp = (d - 1.0) / ((d - 2.0) * (2.0 * d + 1.0))
+    return _power_law_report(f"exponent_gamma_{side}", d, grid, vals, amp, -1.0, target_amp)
+
+
 def exponent_checks(d: int) -> list[dict]:
     """The `exponents` verify suite: beta, delta, and gamma from below and above."""
     return [
-        exponent_report("exponent_beta", d, fit_exponent_beta(d)),
-        exponent_report("exponent_delta", d, fit_exponent_delta(d)),
-        exponent_report("exponent_gamma_below", d, fit_exponent_gamma(d, "below")),
-        exponent_report("exponent_gamma_above", d, fit_exponent_gamma(d, "above")),
+        fit_exponent_beta(d),
+        fit_exponent_delta(d),
+        fit_exponent_gamma(d, "below"),
+        fit_exponent_gamma(d, "above"),
     ]
 
 
@@ -309,8 +280,7 @@ def specific_heat_jump(d: int) -> dict:
     C is analytic in the offset on each side, so the two finest offsets
     determine the limit to O(1e-9), far inside the 1e-3 comparison.
     """
-    _require_critical_point(d)
-    bc = critical_beta(d)
+    bc = _critical_point(d)
     deltas = (1e-3, 1e-4, 1e-5)
     below = [thermo_point(ModelParams(d, bc - dl, 0.0)).C for dl in deltas]
     above = [thermo_point(ModelParams(d, bc + dl, 0.0)).C for dl in deltas]
@@ -397,8 +367,8 @@ def scaling_limit_check(
     """
     n_list = _distinct_sizes(n_list)
     rs = (0.5, 1.0, 2.0)
+    bc = _critical_point(d)
     limit = scaling_limit(d)
-    bc = critical_beta(d)
     m2s, m4s, kss = [], [], []
     for n in n_list:
         law = spin_law(log_g_table(d, n, bc, cache_dir=cache_dir), 0.0)

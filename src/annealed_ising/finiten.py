@@ -193,12 +193,13 @@ def mgf_scaled(law: SpinLaw, r: float) -> float:
 
 
 def truncation_check(law: SpinLaw) -> TruncationReport:
-    """Mass and mgf error at r = 1 outside the window |j - n/2| <= n^{5/6}.
+    """Mass and mgf error at r = 1 outside the window |S| = |2j - n| <= 2 n^{5/6}.
 
     Only meaningful at the critical point, where the law's width is n^{3/4};
     requires the law to be at B = 0 and exactly critical_beta(d). The window
     edge is |S|/n^{3/4} = 2 n^{1/12}, beyond which the quartic limit
-    law's tail decays like exp(-16 a n^{1/3}), a = (d-1)(d-2)/(12 d^2).
+    law's tail decays like exp(-16 a n^{1/3}), a = (d-1)(d-2)/(12 d^2). The
+    window is |j - n/2| <= n^{5/6}, mirror-symmetric about n/2 at odd n too.
 
     tail_bound = n^{-4} and the 1e-8 mgf gap behind `passed` are asymptotic
     targets, not bounds at reachable n: at d=3, -log(tail_mass) - 16 a n^{1/3}
@@ -214,8 +215,8 @@ def truncation_check(law: SpinLaw) -> TruncationReport:
     full = mgf_scaled(law, 1.0)
     n = law.n
     w = n ** (5.0 / 6.0)
-    j, s, _ = _grid(n)
-    inside = np.abs(j - n // 2) <= w
+    s = _grid(n)[1]
+    inside = np.abs(s) <= 2.0 * w
     tail = float(np.sum(law.masses[~inside]))
     kept = law.masses[inside]
     windowed = float(np.sum(kept * np.exp(s[inside] / n**0.75))) / float(np.sum(kept))
@@ -256,13 +257,15 @@ def finite_size_checks(
 ) -> list[dict]:
     """The four checks below, on tables and laws built once each.
 
-    The sizes are sorted; fewer than two, or a repeated one, is a ValueError,
-    as in `criticality.scaling_limit_check`. The free-spin forms use the
+    A d below 2 is a ValueError, as in `thermo.ModelParams`. The sizes are
+    sorted; fewer than two, or a repeated one, is a ValueError, as in
+    `criticality.scaling_limit_check`. The free-spin forms use the
     smallest size; derivative_consistency reuses the n = 500 law of the
     pressure gaps (else the largest); the critical window, only for d >= 3,
     takes the sizes >= 200 (else 500 and 1000). With `spinlaw_csv` set, the
     window's law at its largest n is written there by `write_spinlaw_csv`.
     """
+    ModelParams(d, _BETA_GAP, _B_GAP)  # a d < 2 fails here, before any table is built
     ns = _distinct_sizes(ns)
     checks = [free_spin_closed_forms(log_g_table(d, ns[0], 0.0, cache_dir=cache_dir))]
     laws = {n: spin_law(log_g_table(d, n, _BETA_GAP, cache_dir=cache_dir), _B_GAP) for n in ns}

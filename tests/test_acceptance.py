@@ -121,30 +121,30 @@ def exponent_fits():
 def test_c3_fitted_slopes(exponent_fits):
     """Fitted power laws 0.500, 0.333, -1.000, -1.000 within +-0.02."""
     fits, _ = exponent_fits
-    assert abs(fits["magnetization"].exponent_estimate - 0.5) <= 0.02
-    assert abs(fits["isotherm"].exponent_estimate - 1.0 / 3.0) <= 0.02
-    assert abs(fits["chi_below"].exponent_estimate - (-1.0)) <= 0.02
-    assert abs(fits["chi_above"].exponent_estimate - (-1.0)) <= 0.02
+    assert abs(fits["magnetization"]["estimates"]["slope"] - 0.5) <= 0.02
+    assert abs(fits["isotherm"]["estimates"]["slope"] - 1.0 / 3.0) <= 0.02
+    assert abs(fits["chi_below"]["estimates"]["slope"] - (-1.0)) <= 0.02
+    assert abs(fits["chi_above"]["estimates"]["slope"] - (-1.0)) <= 0.02
 
 
 def test_c3_amplitude_magnetization(exponent_fits):
     """Onset amplitude d sqrt(3/(d-1)) ~ 3.6742, within 5% at the finest point."""
     fits, _ = exponent_fits
     target = 3.0 * math.sqrt(3.0 / 2.0)
-    assert abs(fits["magnetization"].amplitude_estimate - target) <= 0.05 * target
+    assert abs(fits["magnetization"]["estimates"]["amplitude"] - target) <= 0.05 * target
 
 
 def test_c3_amplitude_isotherm(exponent_fits):
     """Isotherm amplitude 2 (27/16)^(1/3) ~ 2.3811, within 5%."""
     fits, _ = exponent_fits
     target = 2.0 * (27.0 / 16.0) ** (1.0 / 3.0)
-    assert abs(fits["isotherm"].amplitude_estimate - target) <= 0.05 * target
+    assert abs(fits["isotherm"]["estimates"]["amplitude"] - target) <= 0.05 * target
 
 
 def test_c3_amplitude_susceptibility_below(exponent_fits):
     """chi amplitude below the transition: 1, within 5%."""
     fits, _ = exponent_fits
-    assert abs(fits["chi_below"].amplitude_estimate - 1.0) <= 0.05
+    assert abs(fits["chi_below"]["estimates"]["amplitude"] - 1.0) <= 0.05
 
 
 def test_c3_amplitude_susceptibility_above(exponent_fits):
@@ -161,7 +161,7 @@ def test_c3_amplitude_susceptibility_above(exponent_fits):
     fits, _ = exponent_fits
     target = _landau(3)["chi_above"]
     assert target == _landau(3)["chi_below"] / 2.0 == 0.5
-    assert abs(fits["chi_above"].amplitude_estimate - target) <= 0.05 * target
+    assert abs(fits["chi_above"]["estimates"]["amplitude"] - target) <= 0.05 * target
 
 
 def test_c3_runtime(exponent_fits):

@@ -293,6 +293,35 @@ def test_a_critical_point_suite_at_d_2_is_a_usage_error(suite, capsys):
     assert captured.err == "error: d=2: the critical point needs d >= 3\n"
 
 
+@pytest.mark.parametrize(
+    "head",
+    [
+        ["gtable", "--d", "3", "--n", "10", "--beta", "0.5"],
+        ["verify", "--suite", "scaling", "--d", "3", "--n-list", "250,500"],
+    ],
+)
+@pytest.mark.parametrize("name", ["table", "~/table"])
+def test_a_cache_dir_naming_a_file_is_a_usage_error(head, name, tmp_path, monkeypatch, capsys):
+    # the table used to be filled first, and the cache write then died with a traceback
+    monkeypatch.setenv("HOME", str(tmp_path))
+    (tmp_path / "table").write_bytes(b"")
+    assert main(head + ["--cache-dir", name if name.startswith("~") else str(tmp_path / name)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --cache-dir ")
+    assert [p.name for p in tmp_path.iterdir()] == ["table"]
+    assert (tmp_path / "table").read_bytes() == b""
+
+
+def test_the_finiten_suite_at_d_1_is_a_usage_error(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert main(["verify", "--suite", "finiten", "--d", "1", "--cache-dir", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: d=1: need an integer >= 2\n"
+    assert not cache.exists()  # rejected before any table
+
+
 def test_the_shared_parser_carries_nothing_between_calls(capsys):
     """The parser is built once; a flag given in one call must not stay set in the next."""
     assert main(["thermo", "--d", "3", "--beta", "0.4", "--B", "0.3"]) == 0
@@ -318,6 +347,20 @@ def test_main_reuses_the_parser_built_at_import(monkeypatch, capsys):
 def test_verify_exit_codes():
     assert main(["verify", "--suite", "taylor", "--d", "4"]) == 0
     assert main(["verify", "--suite", "jump", "--d", "3"]) == 1  # honest red
+
+
+@pytest.mark.parametrize("suite", cli.SUITES)
+def test_every_check_keeps_the_report_shape(suite, cache_dir, capsys):
+    sizes = ["--n-list", "250,500"] if suite in ("scaling", "finiten") else []
+    assert main(["verify", "--suite", suite, "--d", "3", "--cache-dir", cache_dir, *sizes]) in (0, 1)
+    keys = {"check", "d", "grid", "estimates", "targets", "tolerances", "pass"}
+    if suite == "exponents":
+        keys |= {"exponent_pass", "amplitude_pass"}
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks
+    for c in checks:
+        assert set(c) == keys, c["check"]
+        assert isinstance(c["pass"], bool)
 
 
 def test_verify_unknown_suite_is_usage_error():

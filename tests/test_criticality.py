@@ -8,7 +8,6 @@ import pytest
 from annealed_ising import (
     ScalingLimit,
     critical_beta,
-    exponent_report,
     fit_exponent_beta,
     fit_exponent_delta,
     fit_exponent_gamma,
@@ -33,7 +32,6 @@ def test_scaling_limit_identities():
     lim = scaling_limit(3)
     assert isinstance(lim, ScalingLimit)
     assert lim.quartic_coeff == (3.0 - 1.0) * (3.0 - 2.0) / (12.0 * 9.0)
-    assert lim.alpha_star / 16.0 + lim.quartic_coeff == 0.0  # exact, by construction
     a = lim.quartic_coeff
     assert lim.normalizer == pytest.approx(math.gamma(0.25) / (2.0 * a**0.25), rel=1e-13)
     assert lim.moment2 == pytest.approx(
@@ -172,49 +170,50 @@ def test_taylor_check_reads_the_closed_form_derivative(monkeypatch):
 
 
 def test_magnetization_onset_fit():
-    fit = fit_exponent_beta(3)
-    assert fit.exponent_estimate == pytest.approx(0.5, abs=0.02)
-    assert fit.r_squared >= 0.9999
-    assert fit.target_amplitude == pytest.approx(3.0 * math.sqrt(1.5), rel=1e-15)
-    assert fit.amplitude_estimate == pytest.approx(fit.target_amplitude, rel=1e-4)
+    rep = fit_exponent_beta(3)
+    est, tgt = rep["estimates"], rep["targets"]
+    assert rep["check"] == "exponent_beta"
+    assert est["slope"] == pytest.approx(0.5, abs=0.02)
+    assert est["r_squared"] >= 0.9999
+    assert tgt["amplitude"] == pytest.approx(3.0 * math.sqrt(1.5), rel=1e-15)
+    assert est["amplitude"] == pytest.approx(tgt["amplitude"], rel=1e-4)
+    assert rep["exponent_pass"] is True and rep["amplitude_pass"] is True and rep["pass"] is True
 
 
 def test_critical_isotherm_fit():
-    fit = fit_exponent_delta(3)
-    assert fit.exponent_estimate == pytest.approx(1.0 / 3.0, abs=0.02)
-    assert fit.r_squared >= 0.9999
-    assert fit.target_amplitude == pytest.approx(2.0 * (27.0 / 16.0) ** (1.0 / 3.0), rel=1e-15)
-    assert fit.amplitude_estimate == pytest.approx(fit.target_amplitude, rel=1e-4)
+    rep = fit_exponent_delta(3)
+    est, tgt = rep["estimates"], rep["targets"]
+    assert rep["check"] == "exponent_delta"
+    assert est["slope"] == pytest.approx(1.0 / 3.0, abs=0.02)
+    assert est["r_squared"] >= 0.9999
+    assert tgt["amplitude"] == pytest.approx(2.0 * (27.0 / 16.0) ** (1.0 / 3.0), rel=1e-15)
+    assert est["amplitude"] == pytest.approx(tgt["amplitude"], rel=1e-4)
 
 
 def test_susceptibility_fit_below():
-    fit = fit_exponent_gamma(3, "below")
-    assert fit.exponent_estimate == pytest.approx(-1.0, abs=0.02)
-    assert fit.r_squared >= 0.9999
-    assert fit.target_amplitude == 1.0
-    assert fit.amplitude_estimate == pytest.approx(1.0, rel=1e-3)
+    rep = fit_exponent_gamma(3, "below")
+    est = rep["estimates"]
+    assert rep["check"] == "exponent_gamma_below"
+    assert est["slope"] == pytest.approx(-1.0, abs=0.02)
+    assert est["r_squared"] >= 0.9999
+    assert rep["targets"]["amplitude"] == 1.0
+    assert est["amplitude"] == pytest.approx(1.0, rel=1e-3)
 
 
 def test_susceptibility_fit_above():
-    fit = fit_exponent_gamma(3, "above")
-    assert fit.exponent_estimate == pytest.approx(-1.0, abs=0.02)
-    assert fit.r_squared >= 0.9999
+    rep = fit_exponent_gamma(3, "above")
+    est = rep["estimates"]
+    assert rep["check"] == "exponent_gamma_above"
+    assert est["slope"] == pytest.approx(-1.0, abs=0.02)
+    assert est["r_squared"] >= 0.9999
     # the computed one-sided amplitude is 1/(2(d-2)); the 2/7 target the
     # report carries does not match it, and the report says so
-    assert fit.amplitude_estimate == pytest.approx(0.5, rel=1e-3)
-    rep = exponent_report("exponent_gamma_above", 3, fit)
+    assert est["amplitude"] == pytest.approx(0.5, rel=1e-3)
     assert rep["exponent_pass"] is True
     assert rep["amplitude_pass"] is False
     assert rep["pass"] is False
     with pytest.raises(ValueError):
         fit_exponent_gamma(3, "sideways")
-
-
-def test_exponent_report_structure():
-    rep = exponent_report("exponent_beta", 3, fit_exponent_beta(3))
-    assert rep["pass"] is True and rep["exponent_pass"] is True and rep["amplitude_pass"] is True
-    for key in ("check", "d", "grid", "estimates", "targets", "tolerances"):
-        assert key in rep
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,18 @@ def test_truncation_tail_shrinks_with_n(get_table):
     assert tails[2] == pytest.approx(1.4457e-3, rel=1e-3)
 
 
+def test_the_critical_window_is_symmetric_at_odd_n(get_table):
+    # |2j - n| > 2 n^{5/6}, i.e. (2j - n)^6 > 64 n^5, decided in integers
+    d, n = 4, 999
+    law = spin_law(get_table(d, n, critical_beta(d)))
+    outside = [j for j in range(n + 1) if (2 * j - n) ** 6 > 64 * n**5]
+    assert sorted(n - j for j in outside) == outside
+    half = len(outside) // 2
+    assert (outside[half - 1], outside[half]) == (183, 816)  # the window is j = 184..815
+    tail = math.fsum(float(law.masses[j]) for j in outside)
+    assert truncation_check(law).tail_mass == pytest.approx(tail, rel=1e-12)
+
+
 def test_truncation_requires_the_critical_table(get_table):
     with pytest.raises(ValueError):
         truncation_check(spin_law(get_table(3, 100, 0.4)))
