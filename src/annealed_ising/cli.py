@@ -15,7 +15,7 @@ The parser is built once, at import, and checks every flag where it reads
 it: a range or size list is parsed, and beta, B, d and n are range-checked,
 by the flag's argparse type. ``main`` adds only the checks that need two
 flags or the filesystem (an odd d*n, sizes for a suite that reads none,
-``--cache-dir`` naming a file, and ``--out``), all before any work.
+``--cache-dir`` naming or beneath a file, and ``--out``), all before any work.
 
 Output is deterministic for a fixed configuration: floats are
 serialized with repr (shortest round-trip form), rows are emitted in grid
@@ -250,9 +250,11 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"d*n = {cfg.d}*{n} is odd: the pairing model needs d*n even")
         if cfg.command == "verify" and cfg.ns and cfg.suite not in _SIZED_SUITES:
             raise ValueError(f"unrecognized arguments: --n/--n-list (suite {cfg.suite} reads no sizes)")
-        cache = cfg.cache_dir and os.path.expanduser(cfg.cache_dir)
-        if cache and os.path.exists(cache) and not os.path.isdir(cache):
-            raise ValueError(f"--cache-dir {cfg.cache_dir!r} is not a directory")
+        cache = cfg.cache_dir and os.path.abspath(os.path.expanduser(cfg.cache_dir))
+        while cache and not os.path.exists(cache):  # to its nearest existing ancestor
+            cache = os.path.dirname(cache)
+        if cache and not os.path.isdir(cache):
+            raise ValueError(f"--cache-dir {cfg.cache_dir!r}: {cache!r} is not a directory")
         if cfg.out:
             # checked before any work, so a bad path is a usage error, not a failed check
             if os.path.isdir(cfg.out):

@@ -142,7 +142,7 @@ def log_g_table(
     _check_table_args(d, n, beta)
     beta = float(beta)
     path = cache_path(cache_dir, d, n, beta)
-    if path is not None and path.exists():
+    if path is not None:  # a missing file reads as None, like a corrupt one
         values = _read_cache(path, d, n, beta)
         if values is not None:
             return LogG(d, n, beta, values)
@@ -189,7 +189,7 @@ def _read_cache(path: Path, d: int, n: int, beta: float) -> np.ndarray | None:
     if rec["d"] != d or rec["n"] != n or rec["beta"].tobytes() != np.array(beta, "<f8").tobytes():
         return None
     values = rec["values"]
-    if not (np.all(np.isfinite(values)) and np.all(values <= 0.0)):
+    if not (values.max() <= 0.0 and values.min() > -np.inf):  # false for nan too
         return None
     return values
 

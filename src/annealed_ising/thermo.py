@@ -13,7 +13,8 @@ and x = theta tanh h,
     M   = tanh(B + d atanh x).
 
 chi = dM/dB and C = d^2 psi/dbeta^2 follow by implicit differentiation of
-the fixed-point equation: one Newton solve gives all four, with no quadrature.
+the fixed-point equation: one Newton solve gives all four, with no quadrature,
+started near beta_c from the root of the equation's Landau cubic.
 `thermo_point` is that solve and the one way to evaluate the limit: it
 returns psi, M, chi, C, the maximizer t_hat and the fixed-point residual
 together.
@@ -39,6 +40,7 @@ differentiates dH_beta (and log f, for the F part) at t = 1/2, beta_c;
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -224,8 +226,15 @@ def thermo_point(params: ModelParams) -> ThermoPoint:
     on h > 0 (the slope theta / (1 + (1-theta^2) sinh^2 h) of the atanh term
     falls), so the iterates fall monotonically onto its largest root, which
     is its only positive one: for B > 0 because g(B) < 0, and for B = 0 above
-    beta_c because g(0) = 0 with g'(0) = 1 - (d-1) theta < 0. The guard is
-    for rounding alone: a step that leaves the bracket [lo, hi] bisects it
+    beta_c because g(0) = 0 with g'(0) = 1 - (d-1) theta < 0. Near beta_c
+    (d >= 3, B < 1, |alpha| < 0.1 with alpha = 1 - (d-1) theta) Newton starts
+    instead from the largest root of the Landau cubic gamma h^3 + alpha h - B,
+    gamma = (d-1) theta (1-theta^2)/3, which is g to order h^3, if it lies in
+    (lo, hi). The atanh term exceeds its cubic truncation (its h^5 coefficient
+    theta (1-theta^2)(2-3 theta^2)/15 is positive for theta <= 1/2), so g < 0
+    there, just below the root, and by convexity the first step lands above
+    it. Outside the window the cubic is the poorer start. The guard is for
+    rounding alone: a step that leaves the bracket [lo, hi] bisects it
     (geometrically while lo > 0, so a field of 1e-300 takes a handful of
     steps), and the loop stops once a step no longer moves h.
 
@@ -239,6 +248,13 @@ def thermo_point(params: ModelParams) -> ThermoPoint:
         raise RootBracketError(f"tanh(beta) rounds to 1 at beta={beta}: no finite fixed point")
     lo, hi = B, B + (d - 1) * beta  # g(lo) <= 0 < g(hi)
     h = 0.0 if B == 0.0 and beta <= bc else hi
+    alpha = 1.0 - (d - 1) * th
+    if h > 0.0 and d > 2 and abs(alpha) < 0.1 and B < 1.0:  # largest root of t^3 + p t = q
+        gamma = (d - 1) * th * om_th * (1.0 + th) / 3.0
+        p, q = alpha / gamma, float(B) / gamma  # a numpy B would take numpy's complex power
+        u = (0.5 * q + cmath.sqrt(0.25 * q * q + p**3 / 27.0)) ** (1.0 / 3.0)
+        t = (u - p / (3.0 * u)).real if u else 0.0
+        h = t if lo < t < hi else hi
     for _ in range(100):
         y, om_y = _tanh_pair(h)
         x, om_x, om_y2 = th * y, om_th + th * om_y, om_y * (1.0 + y)

@@ -300,9 +300,10 @@ def test_a_critical_point_suite_at_d_2_is_a_usage_error(suite, capsys):
         ["verify", "--suite", "scaling", "--d", "3", "--n-list", "250,500"],
     ],
 )
-@pytest.mark.parametrize("name", ["table", "~/table"])
+@pytest.mark.parametrize("name", ["table", "~/table", "table/sub", "~/table/sub"])
 def test_a_cache_dir_naming_a_file_is_a_usage_error(head, name, tmp_path, monkeypatch, capsys):
-    # the table used to be filled first, and the cache write then died with a traceback
+    # the table used to be filled first, and the cache write then died with a
+    # traceback; a directory beneath the file is refused the same way
     monkeypatch.setenv("HOME", str(tmp_path))
     (tmp_path / "table").write_bytes(b"")
     assert main(head + ["--cache-dir", name if name.startswith("~") else str(tmp_path / name)]) == 2

@@ -216,6 +216,29 @@ def test_susceptibility_fit_above():
         fit_exponent_gamma(3, "sideways")
 
 
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_closed_form_fit_matches_polyfit(d, monkeypatch):
+    """The report's slope and r^2 against np.polyfit's least-squares line
+    through the same (log grid, log values) pairs."""
+    seen = []
+    report = criticality._power_law_report
+
+    def spy(*args):  # keep the (grid, vals) pair each fit passed, and its report
+        rep = report(*args)
+        seen.append((np.log(args[2]), np.log(args[3]), rep))
+        return rep
+
+    monkeypatch.setattr(criticality, "_power_law_report", spy)
+    criticality.exponent_checks(d)
+    assert len(seen) == 4
+    for lx, ly, rep in seen:
+        slope, intercept = np.polyfit(lx, ly, 1)
+        ss_res = np.sum((ly - (slope * lx + intercept)) ** 2)
+        r2 = 1.0 - ss_res / np.sum((ly - np.mean(ly)) ** 2)
+        assert rep["estimates"]["slope"] == pytest.approx(slope, rel=1e-13, abs=0.0), rep["check"]
+        assert abs(rep["estimates"]["r_squared"] - r2) <= 1e-13, rep["check"]
+
+
 # ---------------------------------------------------------------------------
 # specific-heat limits at the critical temperature
 
@@ -309,7 +332,10 @@ def test_incomplete_gamma_oracle_reproduces_erf():
 
 
 @pytest.mark.parametrize(
-    "n,d", [(n, d) for n in (250, 1000, 4000) for d in (3, 4, 5)] + [(1001, 4)]  # odd n too
+    "n,d",
+    [(n, d) for n in (250, 1000, 4000) for d in (3, 4, 5)]
+    + [(1001, 4)]  # odd n too
+    + [(n, d) for n in (4, 8, 16) for d in (3, 4, 5, 8)],  # few wide gaps: the panel's node count shows
 )
 def test_ks_distance_against_the_closed_form_cdf(get_table, d, n):
     # the quartic-law CDF in closed form: F(x) = 1/2 +- P(1/4, a x^4) / 2

@@ -18,7 +18,7 @@ from annealed_ising import (
     f_beta,
     thermo_point,
 )
-from annealed_ising.thermo import T_GUARD
+from annealed_ising.thermo import T_GUARD, _tanh_pair
 from gauss_legendre import adaptive_quad, fixed_quad
 
 BC3 = critical_beta(3)
@@ -284,6 +284,42 @@ def test_newton_steps_onto_a_bracket_end_fall_back_to_bisection(beta, B):
     assert tp.psi == pytest.approx(_golden_section_pressure(3, beta, B), rel=0.0, abs=1e-9)
 
 
+def _near_critical_points(d):
+    """The (beta, B) the exponents and jump suites solve off the trivial branch."""
+    bc = critical_beta(d)
+    offsets = np.geomspace(1e-7, 1e-3, 8).tolist() + [1e-4, 1e-5]
+    return [(bc + dl, 0.0) for dl in offsets] + [(bc, B) for B in np.geomspace(1e-9, 1e-4, 8).tolist()]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_newton_from_the_landau_root_settles_in_a_few_steps(d, monkeypatch):
+    """Started from B + (d-1) beta, Newton took 12 to 26 steps a point here,
+    18 on average. From the Landau cubic's root it takes 4 to 5 on
+    average, and the mean must stay at most 6. No cap holds point by point:
+    g is quantized at ulp(h) while g'(h*) ~ 2|alpha| is small, so the last
+    steps may bisect a bracket inside that noise (14 steps at d = 3, B = 7e-7)."""
+    from annealed_ising import thermo
+
+    calls = []
+    tanh_pair = thermo._tanh_pair
+    monkeypatch.setattr(thermo, "_tanh_pair", lambda z: calls.append(z) or tanh_pair(z))
+    steps = []
+    for beta, B in _near_critical_points(d):
+        calls.clear()
+        tp = thermo_point(ModelParams(d, beta, B))
+        assert tp.residual <= 1e-15 and tp.M > 0.0, (beta, B)
+        steps.append(len(calls) - 1)  # one call for tanh(beta), then one per step
+    assert sum(steps) <= 6 * len(steps), steps
+
+
+def test_the_landau_start_when_alpha_rounds_to_zero():
+    # one ulp above beta_c at d = 4, 1 - 3 tanh(beta) rounds to 0 and the cubic to t^3 = 0
+    beta = math.nextafter(critical_beta(4), 1.0)
+    assert 1.0 - 3.0 * _tanh_pair(beta)[0] == 0.0
+    tp = thermo_point(ModelParams(4, beta, 0.0))
+    assert 0.0 <= tp.M < 1e-7 and tp.residual == 0.0
+
+
 def test_spontaneous_root_rejections():
     # with no nontrivial root (d = 2, or beta <= beta_c at d = 3) B = 0 is the trivial point
     for p in (ModelParams(2, 1.0, 0.0), ModelParams(3, BC3, 0.0), ModelParams(3, BC3 - 0.01, 0.0)):
@@ -454,6 +490,9 @@ def _decimal_grid():
         pts += [(d, bc - 1e-7, 0.0), (d, bc + 1e-7, 0.0)]
         pts += [(d, rng.uniform(0.0, 3.0), rng.choice([0.0, 1e-3, 0.05, 0.3, 1.0])) for _ in range(5)]
         pts += [(d, bc + rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 0.1), 0.0) for _ in range(2)]
+    for d in (3, 4):  # where Newton starts from the Landau cubic's root, or would
+        bc = critical_beta(d)
+        pts += [(d, bc, 1e-9), (d, bc, 1e-4), (d, bc - 1e-3, 0.0)]
     return pts
 
 
@@ -478,6 +517,22 @@ def test_limit_quantities_match_a_decimal_oracle():
                 assert tp.M == pytest.approx(ref[1], rel=rel, abs=1e-40), where
             assert tp.chi == pytest.approx(ref[2], rel=rel, abs=0.0), where
             assert tp.C == pytest.approx(ref[3], rel=rel, abs=0.0), where
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_one_offset_above_beta_c_matches_the_decimal_oracle(d):
+    """At beta_c + 1e-3, psi, chi and C within 1e-12 relative and M within
+    1e-14 absolute. 1 - (d-1) theta ~ 1.5e-3 makes g'(h*) as small while g
+    is rounded at ulp(h), so M is off by up to 7e-15 from either Newton start:
+    the 2.3e-16 the decimal-oracle test asks further out does not hold here."""
+    beta = critical_beta(d) + 1e-3
+    tp = thermo_point(ModelParams(d, beta, 0.0))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ref = [float(v) for v in _dec_point(d, beta, 0.0)]
+    assert abs(tp.M - ref[1]) <= 1e-14
+    for got, want in zip((tp.psi, tp.chi, tp.C), (ref[0], ref[2], ref[3])):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_thermo_point_evaluates_no_variational_form(monkeypatch):
