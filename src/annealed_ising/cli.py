@@ -11,20 +11,27 @@ Three subcommands:
   their math in ``criticality``, ``finiten`` and ``matching``; this module
   only maps a suite name to them and writes what they return.
 
-The parser is built once, at import, and checks every flag where it reads
-it: a range or size list is parsed, and beta, B, d and n are range-checked,
-by the flag's argparse type. ``main`` adds only the checks that need two
-flags or the filesystem (an odd d*n, sizes for a suite that reads none,
-``--cache-dir`` naming or beneath a file, and ``--out``), all before any work.
+The parsers are built once, at import, and check every flag where they
+read it: a range or size list is parsed, and beta, B, d and n are
+range-checked, by the flag's argparse type. ``main`` hands argv straight to
+the named subcommand's parser; only an empty argv, an unknown command or a
+top-level ``--help`` goes through the top-level one. It then adds only the
+checks that need two flags or the filesystem (an odd d*n, sizes for a suite
+that reads none, an empty ``--cache-dir`` or one naming or beneath a file,
+and ``--out``), all before any work.
 
 Output is deterministic for a fixed configuration: floats are
 serialized with repr (shortest round-trip form), rows are emitted in grid
-order, and reports carry no timestamps.
+order, and reports carry no timestamps. JSON (``verify`` reports and
+``--format json``) is the bytes of ``json.dumps(obj, indent=2)``, written by
+``_dumps``, which hands every container of scalars to CPython's C encoder.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import os
@@ -87,8 +94,11 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _parser() -> argparse.ArgumentParser:
-    """Each subcommand takes only the flags it reads; any other is a usage error."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own, which main hands argv to directly.
+
+    Each subcommand takes only the flags it reads; any other is a usage error.
+    """
     p = _Parser(
         prog="annealed-ising",
         description="Annealed Ising model on d-regular configuration-model graphs: "
@@ -117,11 +127,69 @@ def _parser() -> argparse.ArgumentParser:
         size.add_argument("--n-list", dest="ns", type=_sizes, default=(), help="comma-separated vertex counts")
     for sp in (g, t):
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    return p
+    commands = {"gtable": g, "thermo": t, "verify": v}
+    for name, sp in commands.items():
+        sp.set_defaults(command=name)  # what the top-level parser would set
+    return p, commands
 
 
 # ---------------------------------------------------------------------------
 # output plumbing
+
+_CONTAINERS = (dict, list, tuple)
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+@functools.lru_cache(maxsize=None)
+def _level(depth: int) -> tuple:
+    """At nesting `depth`: CPython's C encoder with the item separator "," +
+    newline + the items' indent, that separator, and the closing line's pad."""
+    sep = ",\n" + "  " * (depth + 1)
+    default = json.JSONEncoder().default  # a TypeError, as in json.dumps
+    # no circular-reference markers: only containers of scalars reach it
+    enc = json.encoder.c_make_encoder(None, default, _encode_str, None, ": ", sep, False, False, True)
+    return enc, sep, "\n" + "  " * depth
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte.
+
+    With an indent json.dumps falls back to its pure-Python encoder. Here a
+    container of scalars (and a lone scalar) goes through the C encoder in
+    one call, with the item separator breaking the lines; only containers
+    of containers are walked in Python. Tuples are lists, as in json.dumps.
+    Without the C encoder this is json.dumps itself.
+    """
+    if json.encoder.c_make_encoder is None:
+        return json.dumps(obj, indent=2)
+    return _indented(obj, 0)
+
+
+def _indented(obj, depth: int) -> str:
+    enc, sep, pad = _level(depth)
+    if isinstance(obj, dict):
+        values = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        values = obj
+    else:
+        return "".join(enc(obj, 0))
+    if not obj:
+        return "[]" if values is obj else "{}"
+    if not any(map(isinstance, values, itertools.repeat(_CONTAINERS))):
+        flat = "".join(enc(obj, 0))
+        return flat[0] + sep[1:] + flat[1:-1] + pad + flat[-1]
+    items = [_indented(v, depth + 1) if isinstance(v, _CONTAINERS) else "".join(enc(v, 0)) for v in values]
+    if values is obj:
+        return "[" + sep[1:] + sep.join(items) + pad + "]"
+    keys = [_encode_str(k) if isinstance(k, str) else _key(k) for k in obj]
+    return "{" + sep[1:] + sep.join([k + ": " + v for k, v in zip(keys, items)]) + pad + "}"
+
+
+def _key(k) -> str:
+    """A key that is not a str, as json.dumps writes it: the scalar's JSON text in quotes."""
+    if k is None or isinstance(k, (int, float)):  # bool is an int
+        return '"' + "".join(_level(0)[0](k, 0)) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 def _write(out: str | None, text: str) -> None:
@@ -135,7 +203,7 @@ def _write(out: str | None, text: str) -> None:
 def _emit_rows(cfg: argparse.Namespace, header: tuple[str, ...], rows: list[tuple]) -> None:
     if cfg.format == "json":
         payload = {"columns": header, "rows": rows}
-        _write(cfg.out, json.dumps(payload, indent=2) + "\n")
+        _write(cfg.out, _dumps(payload) + "\n")
     else:
         lines = [",".join(header)]
         lines += [",".join(map(repr, row)) for row in rows]
@@ -155,7 +223,7 @@ def cmd_gtable(cfg: argparse.Namespace) -> int:
     table = matching.log_g_table(cfg.d, n, beta, cache_dir=cfg.cache_dir)
     if cfg.format == "json":
         payload = {"d": cfg.d, "n": n, "beta": beta, "log_g": table.values.tolist()}
-        _write(cfg.out, json.dumps(payload, indent=2) + "\n")
+        _write(cfg.out, _dumps(payload) + "\n")
     else:
         _emit_rows(cfg, ("j", "log_g"), list(enumerate(table.values.tolist())))
     return 0
@@ -200,7 +268,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         "checks": checks,
         "pass": bool(all(c["pass"] for c in checks)),
     }
-    _write(cfg.out, json.dumps(report, indent=2) + "\n")
+    _write(cfg.out, _dumps(report) + "\n")
     return 0 if report["pass"] else 1
 
 
@@ -239,22 +307,29 @@ SUITES = tuple(_SUITES)
 # the file a suite writes next to its --out report
 _SIBLINGS = {"scaling": "scan.csv", "finiten": "spinlaw.csv"}
 _SIZED_SUITES = ("scaling", "finiten")  # the suites that read --n/--n-list
-_PARSER = _parser()
+_PARSER, _COMMANDS = _parser()
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        cfg = _PARSER.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:  # straight to the subcommand's parser
+            cfg = _COMMANDS[argv[0]].parse_args(argv[1:])
+        else:  # no argv, an unknown command or top-level --help
+            cfg = _PARSER.parse_args(argv)
         for n in cfg.ns:
             if cfg.d * n % 2:
                 raise ValueError(f"d*n = {cfg.d}*{n} is odd: the pairing model needs d*n even")
         if cfg.command == "verify" and cfg.ns and cfg.suite not in _SIZED_SUITES:
             raise ValueError(f"unrecognized arguments: --n/--n-list (suite {cfg.suite} reads no sizes)")
-        cache = cfg.cache_dir and os.path.abspath(os.path.expanduser(cfg.cache_dir))
-        while cache and not os.path.exists(cache):  # to its nearest existing ancestor
-            cache = os.path.dirname(cache)
-        if cache and not os.path.isdir(cache):
-            raise ValueError(f"--cache-dir {cfg.cache_dir!r}: {cache!r} is not a directory")
+        if cfg.cache_dir is not None:
+            if not cfg.cache_dir:  # os.path would take '' as the current directory
+                raise ValueError("--cache-dir '': name a directory")
+            cache = os.path.abspath(os.path.expanduser(cfg.cache_dir))
+            while not os.path.exists(cache):  # to its nearest existing ancestor
+                cache = os.path.dirname(cache)
+            if not os.path.isdir(cache):
+                raise ValueError(f"--cache-dir {cfg.cache_dir!r}: {cache!r} is not a directory")
         if cfg.out:
             # checked before any work, so a bad path is a usage error, not a failed check
             if os.path.isdir(cfg.out):

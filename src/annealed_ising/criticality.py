@@ -227,6 +227,8 @@ def _power_law_report(
     }
 
 
+# thermo_point gets each point as a Python float (.tolist()): the same bits as
+# the numpy scalar, without numpy-scalar arithmetic in the solve
 _OFFSETS = np.geomspace(1e-7, 1e-3, 8)  # |beta - beta_c| of the beta and gamma fits
 _FIELDS = np.geomspace(1e-9, 1e-4, 8)  # B of the delta fit
 _OFFSETS.flags.writeable = _FIELDS.flags.writeable = False
@@ -235,7 +237,7 @@ _OFFSETS.flags.writeable = _FIELDS.flags.writeable = False
 def fit_exponent_beta(d: int) -> dict:
     """Spontaneous magnetization onset: M ~ A (beta - beta_c)^{1/2}."""
     bc = _critical_point(d)
-    vals = np.array([thermo_point(ModelParams(d, bc + dl, 0.0)).M for dl in _OFFSETS])
+    vals = np.array([thermo_point(ModelParams(d, bc + dl, 0.0)).M for dl in _OFFSETS.tolist()])
     amp = float(vals[0] / _OFFSETS[0] ** 0.5)
     return _power_law_report("exponent_beta", d, _OFFSETS, vals, amp, 0.5, d * math.sqrt(3.0 / (d - 1.0)))
 
@@ -243,7 +245,7 @@ def fit_exponent_beta(d: int) -> dict:
 def fit_exponent_delta(d: int) -> dict:
     """Critical isotherm: M(beta_c, B) ~ A B^{1/3}."""
     bc = _critical_point(d)
-    vals = np.array([thermo_point(ModelParams(d, bc, B)).M for B in _FIELDS])
+    vals = np.array([thermo_point(ModelParams(d, bc, B)).M for B in _FIELDS.tolist()])
     amp = float(vals[0] / _FIELDS[0] ** (1.0 / 3.0))
     target_amp = 2.0 * (3.0 * d * d / (8.0 * (d - 1.0) * (d - 2.0))) ** (1.0 / 3.0)
     return _power_law_report("exponent_delta", d, _FIELDS, vals, amp, 1.0 / 3.0, target_amp)
@@ -255,7 +257,7 @@ def fit_exponent_gamma(d: int, side: str) -> dict:
     if side not in ("below", "above"):
         raise ValueError(f"side={side!r}: expected 'below' or 'above'")
     sign = -1.0 if side == "below" else 1.0
-    vals = np.array([thermo_point(ModelParams(d, bc + sign * dl, 0.0)).chi for dl in _OFFSETS])
+    vals = np.array([thermo_point(ModelParams(d, bc + sign * dl, 0.0)).chi for dl in _OFFSETS.tolist()])
     amp = float(vals[0] * _OFFSETS[0])
     if side == "below":
         target_amp = 1.0 / (d - 2.0)
@@ -342,6 +344,14 @@ def _ks_distance(law, limit: ScalingLimit) -> float:
     n >= 16 (1e-11 at n = 4), below the cumsum's rounding. The panels square
     their nodes twice in place for y^4, about ten times cheaper than ys**4
     (libm pow) and within two ulps of it.
+
+    Only the panels of the gaps left of 0 (and the middle gap at odd n) are
+    evaluated; the rest are their mirror images. The atoms s/n^{3/4} are
+    exactly antisymmetric (s = 2j - n is), and the leggauss nodes and
+    weights exactly symmetric, so gap n-1-k evaluates its integrand at the
+    negated nodes of gap k, in reverse order: the same six values with the
+    same weights. Mirroring moves only the order of each 6-term sum of
+    positive terms, so a gap moves by a few ulps at most.
     """
     n = law.n
     atoms = _grid(n)[1] / n**0.75
@@ -349,15 +359,17 @@ def _ks_distance(law, limit: ScalingLimit) -> float:
     a = limit.quartic_coeff
     x6, w6 = _nodes(6)
     half = 1.0 / n**0.75  # half-width of each gap
-    mids = 0.5 * (atoms[:-1] + atoms[1:])
+    left = (n + 1) // 2  # gaps 0..left-1 lie left of 0 or straddle it
+    mids = 0.5 * (atoms[:left] + atoms[1 : left + 1])
     ys = mids[:, None] + half * x6[None, :]
     ys *= ys
     ys *= ys
     gaps = half * (np.exp(-a * ys) @ w6) / limit.normalizer
+    gaps = np.concatenate((gaps, gaps[: n - left][::-1]))
     anchor = 0.5 * (1.0 - gaps.sum())
     cdf = anchor + np.concatenate(([0.0], np.cumsum(gaps)))
     cum_prev = np.concatenate(([0.0], cum[:-1]))
-    return float(max(np.max(np.abs(cdf - cum)), np.max(np.abs(cdf - cum_prev))))
+    return float(max(np.abs(cdf - cum).max(), np.abs(cdf - cum_prev).max()))
 
 
 def scaling_limit_check(

@@ -84,8 +84,8 @@ class SpinLaw:
             if k:
                 base = base * base
         if power is None:
-            return float(np.sum(self.masses))
-        return float(np.sum(self.masses * power))
+            return float(self.masses.sum())
+        return float((self.masses * power).sum())
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def _distinct_sizes(ns: tuple[int, ...]) -> tuple[int, ...]:
 
 def _shifted_exp(v: np.ndarray) -> tuple[float, np.ndarray]:
     """max(v) and exp(v - max(v)), bitwise np.exp, with lanes below _EXP_CUT never evaluated."""
-    top = float(np.max(v))
+    top = float(v.max())
     x = v - top
     e = np.zeros_like(x)
     np.exp(x, out=e, where=~(x < _EXP_CUT))  # written so that nan lanes still propagate
@@ -151,15 +151,17 @@ def spin_law(table: LogG, B: float = 0.0) -> SpinLaw:
         raise ValueError(f"B={B}: need a finite field")
     n = table.n
     j, s, log_binom = _grid(n)
-    w = log_binom + table.values + 2.0 * B * j
+    w = log_binom + table.values
+    if B:  # at B = 0 the tilt would add +0.0 to every weight: bitwise nothing
+        w += 2.0 * B * j
     top, masses = _shifted_exp(w)
-    total = float(np.sum(masses))
+    total = float(masses.sum())
     z = top + math.log(total)
     masses /= total
-    mean = float(np.sum(masses * s))
+    mean = float((masses * s).sum())
     sq = s - mean
     sq *= sq
-    chi = float(np.sum(masses * sq)) / n
+    chi = float((masses * sq).sum()) / n
     masses.setflags(write=False)
     psi = table.beta * table.d / 2.0 - B + z / n
     return SpinLaw(n=n, d=table.d, beta=table.beta, B=B, masses=masses, psi=psi, M=mean / n, chi=chi)
@@ -175,7 +177,7 @@ def finite_pressure_increment(law: SpinLaw, dB: float) -> float:
     if not math.isfinite(dB):
         raise ValueError(f"dB={dB}: need a finite field step")
     j = _grid(law.n)[0]
-    return math.log(float(np.sum(law.masses * np.exp(2.0 * dB * j)))) / law.n - dB
+    return math.log(float((law.masses * np.exp(2.0 * dB * j)).sum())) / law.n - dB
 
 
 def mgf_scaled(law: SpinLaw, r: float) -> float:
@@ -189,7 +191,7 @@ def mgf_scaled(law: SpinLaw, r: float) -> float:
     if r == 0.0:
         return 1.0
     shift = r * _grid(law.n)[1] / law.n**0.75
-    return float(np.sum(law.masses * np.exp(shift)))
+    return float((law.masses * np.exp(shift)).sum())
 
 
 def truncation_check(law: SpinLaw) -> TruncationReport:
@@ -217,9 +219,9 @@ def truncation_check(law: SpinLaw) -> TruncationReport:
     w = n ** (5.0 / 6.0)
     s = _grid(n)[1]
     inside = np.abs(s) <= 2.0 * w
-    tail = float(np.sum(law.masses[~inside]))
+    tail = float(law.masses[~inside].sum())
     kept = law.masses[inside]
-    windowed = float(np.sum(kept * np.exp(s[inside] / n**0.75))) / float(np.sum(kept))
+    windowed = float((kept * np.exp(s[inside] / n**0.75)).sum()) / float(kept.sum())
     gap = abs(full - windowed)
 
     bound = float(n) ** -4.0

@@ -5,8 +5,10 @@ subset to its complement. The scalar weight g_beta(k, m) = E[exp(-2*beta*X)]
 is what averaging over the pairing model attaches to a spin split, and the
 per-size table values[j] = log g_beta(dj, dn) feeds every finite-size
 quantity; on disk it is one `.npy` file holding a record of d, n, beta and
-values, in the directory the caller names and nowhere else. Every law here
-is exact.
+values, in the directory the caller names and nowhere else. A cache hit is
+one unbuffered read, a compare of the header and of the record's leading
+24 bytes (d, n and beta packed as `struct` "<qqd") against the request, and
+the values as a read-only `np.frombuffer` view. Every law here is exact.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import functools
 import io
 import math
 import os
+import struct
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -141,7 +144,7 @@ def log_g_table(
     """
     _check_table_args(d, n, beta)
     beta = float(beta)
-    path = cache_path(cache_dir, d, n, beta)
+    path = None if cache_dir is None else _cache_file(cache_dir, d, n, beta)
     if path is not None:  # a missing file reads as None, like a corrupt one
         values = _read_cache(path, d, n, beta)
         if values is not None:
@@ -149,7 +152,7 @@ def log_g_table(
     values = gtable_values(d, n, beta)
     values.setflags(write=False)  # read-only, as the values of a cache hit are
     if path is not None:
-        _write_cache(path, d, n, beta, values)
+        _write_cache(Path(path), d, n, beta, values)
     return LogG(d, n, beta, values)
 
 
@@ -157,7 +160,12 @@ def cache_path(cache_dir, d: int, n: int, beta: float) -> Path | None:
     """File the (d, n, beta) table lives at, keyed by the exact beta (its repr), or None with no directory."""
     if cache_dir is None:
         return None
-    return Path(cache_dir).expanduser() / f"gtable_d{d}_n{n}_b{float(beta)!r}.npy"
+    return Path(_cache_file(cache_dir, d, n, beta))
+
+
+def _cache_file(cache_dir, d: int, n: int, beta: float) -> str:
+    """cache_path as a str, which the cache-hit path opens without building a Path."""
+    return os.path.join(os.path.expanduser(cache_dir), f"gtable_d{d}_n{n}_b{float(beta)!r}.npy")
 
 
 @functools.lru_cache(maxsize=64)
@@ -170,25 +178,27 @@ def _layout(n: int) -> tuple[np.dtype, bytes]:
     return rtype, buf.getvalue()[: -rtype.itemsize]
 
 
-def _read_cache(path: Path, d: int, n: int, beta: float) -> np.ndarray | None:
+def _read_cache(path: str, d: int, n: int, beta: float) -> np.ndarray | None:
     """Load a cache record; any mismatch or corruption means 'recompute'.
 
-    The file must be exactly the header and one record of `_layout(n)`,
-    (d, n, beta) must equal the request bitwise, and every value must be a
-    finite log-weight, so <= 0. The values returned are read-only.
+    The file must be exactly the header and one record of `_layout(n)`, read
+    in one unbuffered read (a short read is a mismatch too); its leading
+    (d, n, beta) must equal the request bitwise, one 24-byte compare; and
+    every value must be a finite log-weight, so <= 0. The values returned
+    are read-only.
     """
     rtype, head = _layout(n)
+    size = len(head) + rtype.itemsize
     try:
-        with open(path, "rb") as fh:
-            buf = fh.read(len(head) + rtype.itemsize + 1)
+        with open(path, "rb", buffering=0) as fh:
+            buf = fh.read(size + 1)
     except OSError:
         return None
-    if len(buf) != len(head) + rtype.itemsize or not buf.startswith(head):
+    if len(buf) != size or not buf.startswith(head):
         return None
-    rec = np.frombuffer(buf, rtype, offset=len(head)).reshape(())
-    if rec["d"] != d or rec["n"] != n or rec["beta"].tobytes() != np.array(beta, "<f8").tobytes():
+    if buf[len(head) : len(head) + 24] != struct.pack("<qqd", d, n, beta):
         return None
-    values = rec["values"]
+    values = np.frombuffer(buf, "<f8", n + 1, len(head) + 24)
     if not (values.max() <= 0.0 and values.min() > -np.inf):  # false for nan too
         return None
     return values

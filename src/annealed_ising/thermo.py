@@ -17,7 +17,8 @@ the fixed-point equation: one Newton solve gives all four, with no quadrature,
 started near beta_c from the root of the equation's Landau cubic.
 `thermo_point` is that solve and the one way to evaluate the limit: it
 returns psi, M, chi, C, the maximizer t_hat and the fixed-point residual
-together.
+together. Its input `ModelParams` (checked when built) and its output
+`ThermoPoint` are named tuples: read-only, and cheap to build per point.
 
 The same pressure is the variational form
 
@@ -42,7 +43,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 __all__ = [
     "ModelParams",
@@ -68,29 +70,31 @@ class RootBracketError(RuntimeError):
     """No (or more than one) sign change where a unique root was required."""
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(namedtuple("ModelParams", ("d", "beta", "B"))):
     """Degree d >= 2, inverse temperature beta >= 0, external field B >= 0.
 
     Negative B is the caller's business via the spin-flip symmetry
-    (B -> -B, M -> -M); it never enters here.
+    (B -> -B, M -> -M); it never enters here. A named tuple: its fields
+    cannot be assigned, and building one costs a tuple and the three checks.
     """
 
-    d: int
-    beta: float
-    B: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if int(self.d) != self.d or self.d < 2:
-            raise ValueError(f"d={self.d}: need an integer >= 2")
-        if not math.isfinite(self.beta) or self.beta < 0:
-            raise ValueError(f"beta={self.beta}: need a finite beta >= 0")
-        if not math.isfinite(self.B) or self.B < 0:
-            raise ValueError(f"B={self.B}: need a finite B >= 0; flip spins for B < 0")
+    def __new__(cls, d: int, beta: float, B: float = 0.0):
+        if int(d) != d or d < 2:
+            raise ValueError(f"d={d}: need an integer >= 2")
+        if not math.isfinite(beta) or beta < 0:
+            raise ValueError(f"beta={beta}: need a finite beta >= 0")
+        if not math.isfinite(B) or B < 0:
+            raise ValueError(f"B={B}: need a finite B >= 0; flip spins for B < 0")
+        return tuple.__new__(cls, (d, beta, B))
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks its fields too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ThermoPoint:
+class ThermoPoint(NamedTuple):
     """The limit at one (d, beta, B); B = 0 means the 0+ limit.
 
     psi is the pressure, M = dpsi/dB the magnetization, chi = dM/dB the

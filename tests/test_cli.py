@@ -314,6 +314,25 @@ def test_a_cache_dir_naming_a_file_is_a_usage_error(head, name, tmp_path, monkey
     assert (tmp_path / "table").read_bytes() == b""
 
 
+@pytest.mark.parametrize(
+    "head",
+    [
+        ["gtable", "--d", "3", "--n", "10", "--beta", "0.5"],
+        ["thermo", "--d", "3", "--n", "10", "--beta", "0.5"],
+        ["verify", "--suite", "scaling", "--d", "3", "--n-list", "250,500"],
+    ],
+    ids=["gtable", "thermo", "verify"],
+)
+def test_an_empty_cache_dir_is_a_usage_error(head, tmp_path, monkeypatch, capsys):
+    # os.path takes '' as the current directory, where the table used to land
+    monkeypatch.chdir(tmp_path)
+    assert main(head + ["--cache-dir", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --cache-dir ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_the_finiten_suite_at_d_1_is_a_usage_error(tmp_path, capsys):
     cache = tmp_path / "cache"
     assert main(["verify", "--suite", "finiten", "--d", "1", "--cache-dir", str(cache)]) == 2
@@ -500,3 +519,84 @@ def test_out_into_a_missing_directory_or_onto_a_directory_is_a_usage_error(head,
         assert captured.out == ""
         assert captured.err.startswith("error: --out ")
     assert list(tmp_path.iterdir()) == []  # rejected before any work: no output, cache or sibling
+
+
+# ---------------------------------------------------------------------------
+# the indented-JSON writer
+
+
+@pytest.fixture
+def dumped(monkeypatch):
+    """The objects main writes as JSON, recorded as they pass through cli._dumps."""
+    objs = []
+    real = cli._dumps
+
+    def spy(obj):
+        objs.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(cli, "_dumps", spy)
+    return objs
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--suite", s, "--d", str(d)] for s in cli.SUITES for d in (3, 4)]
+    + [
+        ["verify", "--suite", "finiten", "--d", "2"],
+        # limit mode: B = 50 at beta = 0.3 and beta = 6 at B = 0 are nan rows
+        ["thermo", "--d", "3", "--beta-range", "0.3:6:3", "--B-range", "0:50:3", "--format", "json"],
+        ["thermo", "--d", "4", "--n-list", "8,50", "--beta-range", "0.1:1.2:3", "--B", "0.2", "--format", "json"],
+        ["gtable", "--d", "3", "--n", "300", "--beta", "0.3", "--format", "json"],
+        ["gtable", "--d", "4", "--n", "11", "--beta", "0", "--format", "json"],
+    ],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:5]),
+)
+def test_the_json_writer_prints_the_bytes_of_json_dumps(argv, dumped, cache_dir, capsys):
+    assert main(argv + ["--cache-dir", cache_dir]) in (0, 1)
+    (obj,) = dumped
+    assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        (),
+        [[], {}, ()],
+        {"a": {}, "b": [[]], "c": ({},)},
+        (1, (2.5, "x"), [None, (True,)]),
+        {1.5: 1, 2: 2.0, True: False, None: None, -0.0: "z", math.nan: 0, math.inf: -1, -math.inf: 1},
+        {"k": {False: [1], 7: {"x": None}, 0.1: ()}},
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324, 0.1, 10**30, -7, True, False, None],
+        [np.float64(0.1), np.float64(math.nan), -np.float64(math.inf)],  # float subclasses
+        ["quote \" backslash \\ slash / \t\n\r\b\f nul \x00 \x1f del \x7f", "é ü 中 \U0001f600 \u2028 \ud800", ""],
+        {"é\n\"": ["\x1f", {"\u00ff": "\udfff"}], "": ""},
+        "a lone string \u00e9",
+        3.25,
+        math.nan,
+        -0.0,
+        None,
+        True,
+        7,
+        {"deep": [[[[[[[[[[1, [2]]]]]]]]]]], "z": [[[]]]},
+        {"mixed": [1, [2], {"k": (3, [])}, "s"], "k2": "v", "k3": {"only": "scalars", "n": 1}},
+    ],
+)
+def test_the_json_writer_matches_json_dumps_on_edge_cases(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [{"a": object()}, [np.bool_(True)], {(1, 2): 0}, {"a": [{1, 2}]}, [[{(): 1}]]])
+def test_the_json_writer_rejects_what_json_dumps_rejects(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError):
+        cli._dumps(obj)
+
+
+def test_the_json_writer_without_the_c_encoder(monkeypatch):
+    obj = {"a": [1.5, math.nan, (2, "é")], "b": {}, 3: [[]]}
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert cli._dumps(obj) == json.dumps(obj, indent=2)

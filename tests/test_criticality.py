@@ -349,3 +349,34 @@ def test_ks_distance_against_the_closed_form_cdf(get_table, d, n):
     cdf = np.array([0.5 + p if x >= 0.0 else 0.5 - p for x, p in zip(xs.tolist(), half_p)])
     oracle = max(np.max(np.abs(cdf - cum)), np.max(np.abs(cdf - cum_prev)))
     assert abs(_ks_distance(law, lim) - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("d,n", [(3, 4), (3, 1000), (4, 5), (4, 1001), (4, 2000), (5, 4000)])
+def test_the_limit_cdf_gaps_are_their_own_mirror(get_table, d, n):
+    # _ks_distance evaluates only the panels left of 0 and mirrors them; that
+    # is exact because every panel's integrand is: the full panel grid, built
+    # here for all n gaps, equals itself reflected in both gap and node
+    from annealed_ising.quadrature import _nodes
+
+    lim = scaling_limit(d)
+    x6, w6 = _nodes(6)
+    assert np.array_equal(x6, -x6[::-1]) and np.array_equal(w6, w6[::-1])
+    atoms = (2.0 * np.arange(n + 1) - n) / n**0.75
+    assert np.array_equal(atoms, -atoms[::-1])
+    half = 1.0 / n**0.75
+    ys = 0.5 * (atoms[:-1] + atoms[1:])[:, None] + half * x6[None, :]
+    assert np.array_equal(ys, -ys[::-1, ::-1])
+    ys *= ys  # y^4 by squaring twice, as _ks_distance forms it (ys**4 is not sign-exact)
+    ys *= ys
+    panels = np.exp(-lim.quartic_coeff * ys)
+    assert np.array_equal(panels, panels[::-1, ::-1])
+    # so the gaps match their mirror up to the order of each 6-term sum: a sum
+    # of six positive terms errs by at most 5u in any order, u = 2^-53
+    gaps = half * (panels @ w6) / lim.normalizer
+    assert np.all(np.abs(gaps - gaps[::-1]) <= 10 * 2.0**-53 * gaps)
+    # and the distance matches the one from every panel, to a few ulps
+    law = spin_law(get_table(d, n, critical_beta(d)), 0.0)
+    cum = np.cumsum(law.masses)
+    cdf = 0.5 * (1.0 - gaps.sum()) + np.concatenate(([0.0], np.cumsum(gaps)))
+    full = max(np.abs(cdf - cum).max(), np.abs(cdf - np.concatenate(([0.0], cum[:-1]))).max())
+    assert abs(_ks_distance(law, lim) - full) <= 2.2e-16

@@ -12,6 +12,7 @@ from annealed_ising import (
     H_beta,
     ModelParams,
     RootBracketError,
+    ThermoPoint,
     critical_beta,
     d2H_beta,
     dH_beta,
@@ -65,19 +66,33 @@ def _golden_section_pressure(d, beta, B):
 
 def test_params_validation():
     ModelParams(3, 0.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^d=1: need an integer >= 2$"):
         ModelParams(1, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^d=2.5: need an integer >= 2$"):
         ModelParams(2.5, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^beta=-0.1: need a finite beta >= 0$"):
         ModelParams(3, -0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^B=-1.0: need a finite B >= 0; flip spins for B < 0$"):
         ModelParams(3, 0.5, -1.0)
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^beta={bad}: need a finite beta >= 0$"):
             ModelParams(3, bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^B={bad}: need a finite B >= 0"):
             ModelParams(3, 0.5, bad)
+
+
+def test_params_and_points_are_read_only_records():
+    p = ModelParams(3, 0.5)
+    assert (p.d, p.beta, p.B) == (3, 0.5, 0.0) and p == ModelParams(3, 0.5, 0.0)
+    tp = thermo_point(p)
+    for rec, field in [(p, "d"), (p, "beta"), (p, "B"), *((tp, f) for f in ThermoPoint._fields)]:
+        with pytest.raises(AttributeError):
+            setattr(rec, field, 1.0)
+    with pytest.raises(AttributeError):
+        p.extra = 1  # no instance dict either
+    assert p._replace(B=0.25) == ModelParams(3, 0.5, 0.25)
+    with pytest.raises(ValueError, match=r"^B=-1.0: "):
+        p._replace(B=-1.0)  # a replaced field is checked like a new one
 
 
 def test_critical_beta_values():
