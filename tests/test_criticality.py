@@ -19,6 +19,7 @@ from annealed_ising import (
 )
 from annealed_ising import criticality
 from annealed_ising.criticality import _ks_distance
+from annealed_ising.quadrature import _nodes
 from gauss_legendre import adaptive_quad
 
 BC3 = critical_beta(3)
@@ -356,8 +357,6 @@ def test_the_limit_cdf_gaps_are_their_own_mirror(get_table, d, n):
     # _ks_distance evaluates only the panels left of 0 and mirrors them; that
     # is exact because every panel's integrand is: the full panel grid, built
     # here for all n gaps, equals itself reflected in both gap and node
-    from annealed_ising.quadrature import _nodes
-
     lim = scaling_limit(d)
     x6, w6 = _nodes(6)
     assert np.array_equal(x6, -x6[::-1]) and np.array_equal(w6, w6[::-1])
@@ -374,9 +373,10 @@ def test_the_limit_cdf_gaps_are_their_own_mirror(get_table, d, n):
     # of six positive terms errs by at most 5u in any order, u = 2^-53
     gaps = half * (panels @ w6) / lim.normalizer
     assert np.all(np.abs(gaps - gaps[::-1]) <= 10 * 2.0**-53 * gaps)
-    # and the distance matches the one from every panel, to a few ulps
+    # and the distance matches the one from every panel: the CDFs lie in
+    # [0, 1], where two ulps are 4.4e-16
     law = spin_law(get_table(d, n, critical_beta(d)), 0.0)
     cum = np.cumsum(law.masses)
     cdf = 0.5 * (1.0 - gaps.sum()) + np.concatenate(([0.0], np.cumsum(gaps)))
     full = max(np.abs(cdf - cum).max(), np.abs(cdf - np.concatenate(([0.0], cum[:-1]))).max())
-    assert abs(_ks_distance(law, lim) - full) <= 2.2e-16
+    assert abs(_ks_distance(law, lim) - full) <= 2.0**-51
