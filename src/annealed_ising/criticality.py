@@ -6,9 +6,11 @@ where the maximizer of the variational problem bifurcates: the magnetization
 onsets like (beta - beta_c)^{1/2}, the susceptibility diverges like
 |beta - beta_c|^{-1} from both sides, the specific heat stays bounded with a
 finite jump, and the total spin scaled by n^{3/4} converges to the quartic
-law with density proportional to exp(-a x^4). That limit rests on H', H'' and
-H''' vanishing at t = 1/2, beta_c with H'''' < 0; the Taylor check measures
-all four by central stencils on the closed-form H' of `thermo.dH_beta`.
+law with density proportional to exp(-a x^4). `ScalingLimit` holds that law
+as its coefficient, normalizer, second and fourth moments and mgf. The limit
+rests on H', H'' and H''' vanishing at t = 1/2, beta_c with H'''' < 0; the
+Taylor check measures all four by central stencils on the closed-form H' of
+`thermo.dH_beta`.
 
 Each check is one function that returns a JSON-ready dict shaped
 {check, d, grid, estimates, targets, tolerances, pass}: `taylor_check`,
@@ -48,7 +50,8 @@ class ScalingLimit:
     """The law with density exp(-a x^4) / normalizer on the real line.
 
     quartic_coeff a = (d-1)(d-2)/(12 d^2); normalizer is the total integral
-    Gamma(1/4) / (2 a^{1/4}).
+    Gamma(1/4) / (2 a^{1/4}). moment2 and moment4 are E[X^2] and E[X^4],
+    from E[X^{2m}] = Gamma((2m+1)/4)/Gamma(1/4) a^{-m/2}; odd moments vanish.
     """
 
     d: int
@@ -56,18 +59,6 @@ class ScalingLimit:
     normalizer: float
     moment2: float
     moment4: float
-
-    def moment(self, k: int) -> float:
-        """E[X^k]; odd moments vanish, E[X^{2m}] = Gamma((2m+1)/4)/Gamma(1/4) a^{-m/2}."""
-        if k < 0 or int(k) != k:
-            raise ValueError(f"k={k}: need a nonnegative integer")
-        if k % 2:
-            return 0.0
-        return math.gamma((k + 1) / 4.0) / math.gamma(0.25) * self.quartic_coeff ** (-k / 4.0)
-
-    def density(self, y):
-        y = np.asarray(y, dtype=np.float64)
-        return np.exp(-self.quartic_coeff * y**4) / self.normalizer
 
     def mgf(self, r: float) -> float:
         """E[exp(r X)] = sum_k r^{2k}/(2k)! E[X^{2k}], summed with math.fsum.

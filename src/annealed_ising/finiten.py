@@ -12,8 +12,9 @@ law of S = 2j - n with psi_n = beta d/2 - B + (1/n) log sum_j C(n, j)
 g(d j, d n) e^{2Bj}, M_n = E[S]/n and chi_n = Var(S)/n. Every other
 finite-n number sums against that law's masses: the pressure increment, the
 scaled mgf and the critical-window truncation. The `finiten` verify suite's
-checks sit at the end. The only state is the memo `_grid(n)` of the j, S
-and log C(n, j) rows, a function of n alone.
+checks sit at the end, each measuring what it reports and returning the
+report dict itself. The only state is the memo `_grid(n)` of the j, S and
+log C(n, j) rows, a function of n alone.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ from .thermo import ModelParams, critical_beta, thermo_point
 
 __all__ = [
     "SpinLaw",
-    "TruncationReport",
     "finite_pressure_increment",
     "spin_law",
     "mgf_scaled",
-    "truncation_check",
     "write_spinlaw_csv",
     "finite_size_checks",
     "free_spin_closed_forms",
@@ -42,7 +41,7 @@ __all__ = [
     "critical_window",
 ]
 
-# mgf gap outside the critical window that truncation_check and critical_window accept
+# mgf gap outside the critical window that critical_window accepts
 _MGF_GAP_TOL = 1e-8
 # (beta, B) at which pressure_gap_shrinks and derivative_consistency share laws
 _BETA_GAP, _B_GAP = 0.4, 0.1
@@ -86,20 +85,6 @@ class SpinLaw:
         if power is None:
             return float(self.masses.sum())
         return float((self.masses * power).sum())
-
-
-@dataclass(frozen=True)
-class TruncationReport:
-    """How much of the spin law survives outside a central window at beta_c."""
-
-    n: int
-    window_halfwidth: float
-    tail_mass: float
-    tail_bound: float
-    mgf_full: float
-    mgf_windowed: float
-    mgf_gap: float
-    passed: bool
 
 
 @functools.lru_cache(maxsize=64)
@@ -192,49 +177,6 @@ def mgf_scaled(law: SpinLaw, r: float) -> float:
         return 1.0
     shift = r * _grid(law.n)[1] / law.n**0.75
     return float((law.masses * np.exp(shift)).sum())
-
-
-def truncation_check(law: SpinLaw) -> TruncationReport:
-    """Mass and mgf error at r = 1 outside the window |S| = |2j - n| <= 2 n^{5/6}.
-
-    Only meaningful at the critical point, where the law's width is n^{3/4};
-    requires the law to be at B = 0 and exactly critical_beta(d). The window
-    edge is |S|/n^{3/4} = 2 n^{1/12}, beyond which the quartic limit
-    law's tail decays like exp(-16 a n^{1/3}), a = (d-1)(d-2)/(12 d^2). The
-    window is |j - n/2| <= n^{5/6}, mirror-symmetric about n/2 at odd n too.
-
-    tail_bound = n^{-4} and the 1e-8 mgf gap behind `passed` are asymptotic
-    targets, not bounds at reachable n: at d=3, -log(tail_mass) - 16 a n^{1/3}
-    stays between 3.57 and 3.73 for n = 250..8000, so the tail would drop
-    below n^{-4} only near n ~ 1e7, and `passed` is False at every size the
-    tests and reports use.
-    """
-    if law.beta != critical_beta(law.d) or law.B != 0.0:
-        raise ValueError(
-            f"truncation bounds hold at beta_c={critical_beta(law.d)!r} and B=0 only, "
-            f"law has beta={law.beta!r}, B={law.B!r}"
-        )
-    full = mgf_scaled(law, 1.0)
-    n = law.n
-    w = n ** (5.0 / 6.0)
-    s = _grid(n)[1]
-    inside = np.abs(s) <= 2.0 * w
-    tail = float(law.masses[~inside].sum())
-    kept = law.masses[inside]
-    windowed = float((kept * np.exp(s[inside] / n**0.75)).sum()) / float(kept.sum())
-    gap = abs(full - windowed)
-
-    bound = float(n) ** -4.0
-    return TruncationReport(
-        n=n,
-        window_halfwidth=w,
-        tail_mass=tail,
-        tail_bound=bound,
-        mgf_full=full,
-        mgf_windowed=windowed,
-        mgf_gap=gap,
-        passed=(tail <= bound and gap <= _MGF_GAP_TOL),
-    )
 
 
 def write_spinlaw_csv(law: SpinLaw, path: str) -> None:
@@ -354,16 +296,45 @@ def derivative_consistency(law: SpinLaw) -> dict:
 
 
 def critical_window(laws: list[SpinLaw]) -> dict:
-    """truncation_check on each law at (beta_c, B = 0); the tail mass must also fall with n."""
-    reports = [truncation_check(law) for law in laws]
-    tails = [r.tail_mass for r in reports]
+    """Mass and mgf error at r = 1 outside the window |S| = |2j - n| <= 2 n^{5/6}, per law.
+
+    Only meaningful at the critical point, where the law's width is n^{3/4};
+    every law must be at B = 0 and exactly critical_beta(d). The window
+    edge is |S|/n^{3/4} = 2 n^{1/12}, beyond which the quartic limit
+    law's tail decays like exp(-16 a n^{1/3}), a = (d-1)(d-2)/(12 d^2). The
+    window is |j - n/2| <= n^{5/6}, mirror-symmetric about n/2 at odd n too.
+    The mgf gap is |E[e^{S/n^{3/4}}] - E[e^{S/n^{3/4}} | window]|.
+
+    The tail bound n^{-4} and the 1e-8 mgf gap behind each size's verdict are
+    asymptotic targets, not bounds at reachable n: at d=3, -log(tail_mass) -
+    16 a n^{1/3} stays between 3.57 and 3.73 for n = 250..8000, so the tail
+    would drop below n^{-4} only near n ~ 1e7, and the check fails at every
+    size the tests and reports use. The tail mass must also fall with n.
+    """
+    tails, gaps, bounds = [], [], []
+    for law in laws:
+        if law.beta != critical_beta(law.d) or law.B != 0.0:
+            raise ValueError(
+                f"truncation bounds hold at beta_c={critical_beta(law.d)!r} and B=0 only, "
+                f"law has beta={law.beta!r}, B={law.B!r}"
+            )
+        full = mgf_scaled(law, 1.0)
+        n = law.n
+        s = _grid(n)[1]
+        inside = np.abs(s) <= 2.0 * n ** (5.0 / 6.0)
+        tails.append(float(law.masses[~inside].sum()))
+        kept = law.masses[inside]
+        windowed = float((kept * np.exp(s[inside] / n**0.75)).sum()) / float(kept.sum())
+        gaps.append(abs(full - windowed))
+        bounds.append(float(n) ** -4.0)
+    within = all(t <= b and g <= _MGF_GAP_TOL for t, b, g in zip(tails, bounds, gaps))
     decreasing = all(tails[i + 1] < tails[i] for i in range(len(tails) - 1))
     return {
         "check": "critical_window",
         "d": laws[0].d,
-        "grid": [r.n for r in reports],
-        "estimates": {"tail_mass": tails, "mgf_gap": [r.mgf_gap for r in reports]},
-        "targets": {"tail_bound": [r.tail_bound for r in reports], "mgf_gap": 0.0},
+        "grid": [law.n for law in laws],
+        "estimates": {"tail_mass": tails, "mgf_gap": gaps},
+        "targets": {"tail_bound": bounds, "mgf_gap": 0.0},
         "tolerances": {"mgf_gap_abs": _MGF_GAP_TOL},
-        "pass": all(r.passed for r in reports) and decreasing,
+        "pass": within and decreasing,
     }

@@ -1,14 +1,17 @@
-"""Cross-edge law of a uniform perfect matching and the derived g-tables.
+"""Cross-edge counts of a uniform perfect matching and the derived g-tables.
 
 For m points with a marked k-subset, X(k, m) counts matched pairs joining the
-subset to its complement. The scalar weight g_beta(k, m) = E[exp(-2*beta*X)]
+subset to its complement. `_cross_counts` enumerates how many matchings give
+each X and `_closed_count` is the integer closed form; the `matching` verify
+suite holds the two equal, and the float laws built on them are test oracles
+(tests/pairing_laws.py). The scalar weight g_beta(k, m) = E[exp(-2 beta X)]
 is what averaging over the pairing model attaches to a spin split, and the
 per-size table values[j] = log g_beta(dj, dn) feeds every finite-size
 quantity; on disk it is one `.npy` file holding a record of d, n, beta and
 values, in the directory the caller names and nowhere else. A cache hit is
 one unbuffered read, a compare of the header and of the record's leading
 24 bytes (d, n and beta packed as `struct` "<qqd") against the request, and
-the values as a read-only `np.frombuffer` view. Every law here is exact.
+the values as a read-only `np.frombuffer` view. Every count here is exact.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from .kernels import _check_table_args, gtable_values
 
 __all__ = [
     "LogG",
-    "brute_force_law",
-    "cross_count_law",
     "log_g_table",
     "cache_path",
     "pairing_law_exact",
@@ -47,20 +48,7 @@ class LogG:
 
 
 # ---------------------------------------------------------------------------
-# exact laws
-
-
-def brute_force_law(k: int, m: int) -> dict[int, float]:
-    """Exact law of X(k, m) by enumerating all (m-1)!! perfect matchings.
-
-    Deliberately naive; this is the oracle everything else is checked against.
-    """
-    _check_km(k, m)
-    if m > 14:
-        raise ValueError(f"m={m} too large to enumerate ((m-1)!! growth, cap m=14)")
-    row = _cross_counts(m)[k]
-    total = sum(row)
-    return {x: c / total for x, c in enumerate(row) if c}
+# exact counts
 
 
 @functools.cache
@@ -94,19 +82,6 @@ def _cross_counts(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, counts))
 
 
-def cross_count_law(k: int, m: int) -> dict[int, float]:
-    """Closed-form law of X(k, m), each probability the correctly rounded count / (m-1)!!.
-
-    P(X=x) = C(k,x) C(m-k,x) x! (k-x-1)!! (m-k-x-1)!! / (m-1)!!
-    over the support x = k mod 2, ..., min(k, m-k) in steps of 2, with the
-    convention (-1)!! = 1 covering the boundary terms. The counts are Python
-    integers (`_closed_count`) and int / int true division rounds once.
-    """
-    _check_km(k, m)
-    total = math.prod(range(m - 1, 0, -2))
-    return {x: _closed_count(k, m, x) / total for x in range(k & 1, min(k, m - k) + 1, 2)}
-
-
 def _closed_count(k: int, m: int, x: int) -> int:
     """C(k,x) C(m-k,x) x! (k-x-1)!! (m-k-x-1)!! in integers: the matchings with X(k, m) = x."""
     if (k - x) % 2:
@@ -118,13 +93,6 @@ def _closed_count(k: int, m: int, x: int) -> int:
         * math.prod(range(k - x - 1, 0, -2))
         * math.prod(range(m - k - x - 1, 0, -2))
     )
-
-
-def _check_km(k: int, m: int) -> None:
-    if m % 2:
-        raise ValueError(f"m={m}: perfect matching needs an even point count")
-    if not 0 <= k <= m:
-        raise ValueError(f"k={k} outside 0..{m}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +107,9 @@ def log_g_table(
 ) -> LogG:
     """Table of log g_beta(dj, dn) for j = 0..n, cached on disk under `cache_dir` if given.
 
-    With no `cache_dir`, nothing touches the filesystem. Callers sharing a
-    cache directory across processes must serialize access.
+    With no `cache_dir`, nothing touches the filesystem; an empty one is a
+    ValueError. Callers sharing a cache directory across processes must
+    serialize access.
     """
     _check_table_args(d, n, beta)
     beta = float(beta)
@@ -164,7 +133,12 @@ def cache_path(cache_dir, d: int, n: int, beta: float) -> Path | None:
 
 
 def _cache_file(cache_dir, d: int, n: int, beta: float) -> str:
-    """cache_path as a str, which the cache-hit path opens without building a Path."""
+    """cache_path as a str, which the cache-hit path opens without building a Path.
+
+    An empty cache_dir is a ValueError: os.path would take it as the current directory.
+    """
+    if not cache_dir:
+        raise ValueError("cache_dir '': name a directory")
     return os.path.join(os.path.expanduser(cache_dir), f"gtable_d{d}_n{n}_b{float(beta)!r}.npy")
 
 
@@ -226,8 +200,8 @@ def _write_cache(path: Path, d: int, n: int, beta: float, values: np.ndarray) ->
 def pairing_law_exact() -> dict:
     """Enumerated counts of X(k, m) against the integer closed form, every (k, m) with m <= 12.
 
-    Every count must equal `_closed_count` exactly, 0 off the support.
-    cross_count_law divides those same counts by (m-1)!!, so the integer
+    Every count must equal `_closed_count` exactly, 0 off the support. The
+    closed-form law divides those same counts by (m-1)!!, so the integer
     equality is the whole check.
     """
     cases, mismatches = 0, 0

@@ -25,18 +25,25 @@ The same pressure is the variational form
     psi(beta, B) = beta*d/2 - B + max_t [ H(t) + 2*B*t ],
 
 with H(t) = (t-1)log(1-t) - t log t + d*F(t) and F the integral of log f from
-0 to tau = min(t, 1-t), maximised at t_hat = (1 + M)/2. log f has an
-elementary antiderivative: with c = exp(-2 beta), v = 1 - 2 tau and
+0 to tau = min(t, 1-t), maximised at t_hat = (1 + M)/2. The edge-weight
+generating function f on [0, 1/2] is, with c = exp(-2 beta) and u = 1 - 2s,
+
+    f(s) = (c u + sqrt(1 + (c^2 - 1) u^2)) / (2 - 2s),
+
+and the module evaluates it only as its logarithm, `_logf`. log f has an
+elementary antiderivative: with v = 1 - 2 tau and
 R = sqrt(c^2 + (1 - c^2) 4 tau (1 - tau)),
 
     F(t) = tau log((c v + R)/2) + (1/2) log1p(2 c tau/(c v + R))
            + (1/2) v log1p(-tau),
 
-every term O(tau), so F needs no quadrature. f_beta, F_beta, H_beta,
-dH_beta and d2H_beta keep the variational form as the documented statement
-of the problem and as an independent oracle. `criticality.taylor_check`
-differentiates dH_beta (and log f, for the F part) at t = 1/2, beta_c;
-`thermo_point` never evaluates the variational form.
+every term O(tau), so F needs no quadrature. F_beta, H_beta and dH_beta
+keep the variational form as the documented statement of the problem and as
+an independent oracle; the closed-form H'' that checks chi and C against
+them is a test oracle, in tests/test_thermo.py.
+`criticality.taylor_check` differentiates dH_beta (and log f, for the F
+part) at t = 1/2, beta_c; `thermo_point` never evaluates the variational
+form.
 """
 
 from __future__ import annotations
@@ -50,11 +57,9 @@ __all__ = [
     "ModelParams",
     "ThermoPoint",
     "RootBracketError",
-    "f_beta",
     "F_beta",
     "H_beta",
     "dH_beta",
-    "d2H_beta",
     "critical_beta",
     "thermo_point",
 ]
@@ -117,12 +122,6 @@ class ThermoPoint(NamedTuple):
 # the elementary functions
 
 
-def _f(s: float, c: float) -> float:
-    """f(s) for s in [0, 1/2]; c = exp(-2 beta). No domain check."""
-    u = 1.0 - 2.0 * s
-    return (c * u + math.sqrt(1.0 + (c * c - 1.0) * u * u)) / (2.0 - 2.0 * s)
-
-
 def _logf(s: float, c: float) -> float:
     """log f(s), written so the value stays accurate to ~1 ulp *absolute* as f -> 1.
 
@@ -133,13 +132,6 @@ def _logf(s: float, c: float) -> float:
     a = c * c - 1.0
     r = math.sqrt(1.0 + a * u * u)
     return math.log1p(c * u + a * u * u / (1.0 + r)) - math.log1p(u)
-
-
-def f_beta(s: float, beta: float) -> float:
-    """The edge-weight generating function f(s) on [0, 1/2]."""
-    if not 0.0 <= s <= 0.5:
-        raise ValueError(f"s={s} outside [0, 1/2]")
-    return _f(s, math.exp(-2.0 * beta))
 
 
 def F_beta(t: float, beta: float) -> float:
@@ -181,25 +173,6 @@ def dH_beta(t: float, d: int, beta: float) -> float:
     if t < 0.5:
         return ent + d * _logf(t, c)
     return ent - d * _logf(1.0 - t, c)
-
-
-def d2H_beta(t: float, d: int, beta: float) -> float:
-    """Closed-form d^2H/dt^2; written for t in [1/2, 1), extended by symmetry.
-
-    -P/Q with theta2 = f(1-t); Q > 0 on (0, 1) for beta >= 0, so a vanishing
-    Q is a hard error rather than a value.
-    """
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t={t}: endpoint is singular, domain is (0, 1)")
-    tt = max(t, 1.0 - t)
-    c = math.exp(-2.0 * beta)
-    th2 = _f(1.0 - tt, c)
-    one_m = 1.0 - tt
-    P = d * one_m * (c * th2 - 1.0) + c * (2.0 * tt - 1.0) * th2 + 2.0 * one_m
-    Q = tt * one_m * (c * (2.0 * tt - 1.0) * th2 + 2.0 * one_m)
-    if Q == 0.0:
-        raise ArithmeticError(f"curvature denominator vanished at t={t}, beta={beta}")
-    return -P / Q
 
 
 def critical_beta(d: int) -> float:

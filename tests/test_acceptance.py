@@ -18,9 +18,8 @@ import numpy as np
 import pytest
 
 from annealed_ising import (
-    brute_force_law,
     critical_beta,
-    cross_count_law,
+    critical_window,
     finite_pressure_increment,
     fit_exponent_beta,
     fit_exponent_delta,
@@ -33,11 +32,11 @@ from annealed_ising import (
     spin_law,
     taylor_check,
     thermo_point,
-    truncation_check,
     ModelParams,
 )
 from annealed_ising.cli import SUITES, main
 from gauss_legendre import adaptive_quad
+from pairing_laws import brute_force_law, cross_count_law
 
 BC3 = critical_beta(3)
 
@@ -346,7 +345,7 @@ def test_c6_free_spin_closed_forms():
 @pytest.fixture(scope="module")
 def truncation_reports(get_table):
     t0 = time.monotonic()
-    reps = {n: truncation_check(spin_law(get_table(3, n, BC3))) for n in (500, 1000)}
+    reps = {n: critical_window([spin_law(get_table(3, n, BC3))]) for n in (500, 1000)}
     return reps, time.monotonic() - t0
 
 
@@ -358,7 +357,7 @@ def _limit_window(x, r=1.0):
     limit = scaling_limit(3)
     a = limit.quartic_coeff
     far = ((70.0 + 20.0 * abs(r)) / a) ** 0.25  # exp(-a far^4 + |r| far) < 1e-30
-    tail = 2.0 * adaptive_quad(limit.density, x, far, tol=1e-14)
+    tail = 2.0 * adaptive_quad(lambda y: np.exp(-a * y**4) / limit.normalizer, x, far, tol=1e-14)
     num = adaptive_quad(lambda y: np.exp(-a * y**4 + r * y), -x, x, tol=1e-13)
     den = adaptive_quad(lambda y: np.exp(-a * y**4), -x, x, tol=1e-13)
     return tail, abs(limit.mgf(r) - num / den)
@@ -380,16 +379,18 @@ def test_c7_window_captures_everything(truncation_reports, n):
     for the same window (ratios 0.20 and 0.25).
     """
     rep = truncation_reports[0][n]
-    assert rep.window_halfwidth == n ** (5.0 / 6.0)
+    assert rep["grid"] == [n]
     tail, gap = _limit_window(2.0 * n ** (1.0 / 12.0), r=1.0)
-    assert rep.tail_mass <= tail, (n, rep.tail_mass, tail)
-    assert rep.mgf_gap <= gap, (n, rep.mgf_gap, gap)
+    (got_tail,), (got_gap,) = rep["estimates"]["tail_mass"], rep["estimates"]["mgf_gap"]
+    assert got_tail <= tail, (n, got_tail, tail)
+    assert got_gap <= gap, (n, got_gap, gap)
 
 
 def test_c7_tail_slims_with_n(truncation_reports):
     """The out-of-window mass does decrease in n (the direction is right)."""
     reps, _ = truncation_reports
-    assert reps[1000].tail_mass < reps[500].tail_mass
+    tails = {n: rep["estimates"]["tail_mass"][0] for n, rep in reps.items()}
+    assert tails[1000] < tails[500]
 
 
 def test_c7_runtime(truncation_reports):

@@ -360,6 +360,23 @@ def test_main_reuses_the_parser_built_at_import(monkeypatch, capsys):
     assert main(["thermo", "--d", "3", "--beta", "0.4"]) == 0
 
 
+@pytest.mark.parametrize("argv", [[], ["bogus"]], ids=["empty", "unknown"])
+def test_no_command_or_an_unknown_one_is_a_usage_error(argv, capsys):
+    # both go through the top-level parser, not a subcommand's
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["thermo", "--help"]], ids=["help", "h", "thermo"])
+def test_help_prints_usage_to_stdout_and_exits_0(argv, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: ")
+    assert captured.err == ""
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -11,12 +11,12 @@ import pytest
 from annealed_ising import (
     ModelParams,
     critical_beta,
+    critical_window,
     finite_size_checks,
     finite_pressure_increment,
     mgf_scaled,
     spin_law,
     thermo_point,
-    truncation_check,
     write_spinlaw_csv,
 )
 from annealed_ising import finiten
@@ -273,10 +273,12 @@ def test_skipped_lanes_keep_every_query_bitwise(get_table, n, beta, Bs, underflo
         want = _decimal_mgf(log_x, r, everywhere)
         assert abs(mgf_scaled(law, r) - want) <= _mgf_error_bound(n, js, x, m, r, everywhere) * want, r
     if beta == BC3:
-        rep = truncation_check(law)
+        (gap,) = critical_window([law])["estimates"]["mgf_gap"]
         inside = np.abs(j - n // 2) <= n ** (5.0 / 6.0)
-        want = _decimal_mgf(log_x, 1.0, inside)
-        assert abs(rep.mgf_windowed - want) <= _mgf_error_bound(n, js, x, m, 1.0, inside) * want
+        full, windowed = _decimal_mgf(log_x, 1.0, everywhere), _decimal_mgf(log_x, 1.0, inside)
+        err = _mgf_error_bound(n, js, x, m, 1.0, everywhere) * full
+        err += _mgf_error_bound(n, js, x, m, 1.0, inside) * windowed
+        assert abs(gap - abs(full - windowed)) <= err + _U * gap
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -369,20 +371,19 @@ def test_mgf_scaled_basics(get_table):
 
 
 def test_truncation_report_shape_and_honesty(get_table):
-    law = spin_law(get_table(3, 250, BC3))
-    rep = truncation_check(law)
-    assert rep.n == 250
-    assert rep.window_halfwidth == pytest.approx(250.0 ** (5.0 / 6.0))
-    assert rep.mgf_full == mgf_scaled(law, 1.0)
-    assert 0.0 < rep.tail_mass < 0.01
-    assert rep.tail_bound == 250.0**-4.0
+    rep = critical_window([spin_law(get_table(3, 250, BC3))])
+    assert rep["grid"] == [250]
+    (tail,), (bound,) = rep["estimates"]["tail_mass"], rep["targets"]["tail_bound"]
+    assert 0.0 < tail < 0.01
+    assert bound == 250.0**-4.0
     # at these sizes the tail is far above n^-4; the report must say so
-    assert rep.tail_mass > rep.tail_bound
-    assert rep.passed is False
+    assert tail > bound
+    assert rep["pass"] is False
 
 
 def test_truncation_tail_shrinks_with_n(get_table):
-    tails = [truncation_check(spin_law(get_table(3, n, BC3))).tail_mass for n in (250, 500, 1000)]
+    laws = [spin_law(get_table(3, n, BC3)) for n in (250, 500, 1000)]
+    tails = critical_window(laws)["estimates"]["tail_mass"]
     assert tails[0] > tails[1] > tails[2] > 0.0
     # regression pins (measured): 3.7104e-3, 2.6028e-3, 1.4457e-3
     assert tails[0] == pytest.approx(3.7104e-3, rel=1e-3)
@@ -399,14 +400,14 @@ def test_the_critical_window_is_symmetric_at_odd_n(get_table):
     half = len(outside) // 2
     assert (outside[half - 1], outside[half]) == (183, 816)  # the window is j = 184..815
     tail = math.fsum(float(law.masses[j]) for j in outside)
-    assert truncation_check(law).tail_mass == pytest.approx(tail, rel=1e-12)
+    assert critical_window([law])["estimates"]["tail_mass"] == [pytest.approx(tail, rel=1e-12)]
 
 
 def test_truncation_requires_the_critical_table(get_table):
     with pytest.raises(ValueError):
-        truncation_check(spin_law(get_table(3, 100, 0.4)))
+        critical_window([spin_law(get_table(3, 100, 0.4))])
     with pytest.raises(ValueError):
-        truncation_check(spin_law(get_table(3, 100, BC3), 0.1))
+        critical_window([spin_law(get_table(3, 100, BC3), 0.1)])
 
 
 def test_spinlaw_csv_roundtrip(tmp_path, get_table):

@@ -9,7 +9,7 @@ import pytest
 
 from annealed_ising import critical_beta, kernels
 from annealed_ising.kernels import KERNEL_BACKEND, gtable_values
-from annealed_ising.matching import brute_force_law, cross_count_law
+from pairing_laws import brute_force_law, cross_count_law
 
 BETAS = ("0", "0.2", "bc", "1.2", "3.0")
 U = 2.0**-53

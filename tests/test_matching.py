@@ -9,15 +9,14 @@ import pytest
 
 from annealed_ising import (
     F_beta,
-    brute_force_law,
     critical_beta,
-    cross_count_law,
     log_g_table,
     matching,
     pairing_law_exact,
     table_identities,
 )
 from annealed_ising.matching import _layout, cache_path
+from pairing_laws import brute_force_law, cross_count_law
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +368,17 @@ def test_only_a_named_directory_caches_a_table(tmp_path, monkeypatch):
     log_g_table(3, 10, 0.3, cache_dir=tmp_path / "arg")
     assert [p.name for p in tmp_path.iterdir()] == ["arg"]
     assert cache_path(tmp_path / "arg", 3, 10, 0.3).exists()
+
+
+def test_an_empty_cache_dir_is_refused_before_any_fill(tmp_path, monkeypatch):
+    # os.path takes '' as the current directory, where the table used to land
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(matching, "gtable_values", lambda *args: pytest.fail("filled a table"))
+    with pytest.raises(ValueError, match="cache_dir ''"):
+        log_g_table(3, 10, 0.5, cache_dir="")
+    with pytest.raises(ValueError, match="cache_dir ''"):
+        cache_path("", 3, 10, 0.5)
+    assert list(tmp_path.iterdir()) == []
 
 
 # Each corruption maps the good file's bytes and values to the bytes written

@@ -14,12 +14,10 @@ from annealed_ising import (
     RootBracketError,
     ThermoPoint,
     critical_beta,
-    d2H_beta,
     dH_beta,
-    f_beta,
     thermo_point,
 )
-from annealed_ising.thermo import T_GUARD, _tanh_pair
+from annealed_ising.thermo import T_GUARD, _logf, _tanh_pair
 from gauss_legendre import adaptive_quad, fixed_quad
 
 BC3 = critical_beta(3)
@@ -114,15 +112,37 @@ def test_critical_beta_values():
 # f, F, H and derivatives
 
 
+def _f(s: float, c: float) -> float:
+    """f(s) for s in [0, 1/2]; c = exp(-2 beta). No domain check."""
+    u = 1.0 - 2.0 * s
+    return (c * u + math.sqrt(1.0 + (c * c - 1.0) * u * u)) / (2.0 - 2.0 * s)
+
+
+def d2H_beta(t: float, d: int, beta: float) -> float:
+    """Closed-form d^2H/dt^2; written for t in [1/2, 1), extended by symmetry.
+
+    -P/Q with theta2 = f(1-t); Q > 0 on (0, 1) for beta >= 0, so a vanishing
+    Q is a hard error rather than a value.
+    """
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"t={t}: endpoint is singular, domain is (0, 1)")
+    tt = max(t, 1.0 - t)
+    c = math.exp(-2.0 * beta)
+    th2 = _f(1.0 - tt, c)
+    one_m = 1.0 - tt
+    P = d * one_m * (c * th2 - 1.0) + c * (2.0 * tt - 1.0) * th2 + 2.0 * one_m
+    Q = tt * one_m * (c * (2.0 * tt - 1.0) * th2 + 2.0 * one_m)
+    if Q == 0.0:
+        raise ArithmeticError(f"curvature denominator vanished at t={t}, beta={beta}")
+    return -P / Q
+
+
 def test_f_endpoints_and_domain():
     for beta in (0.0, 0.3, 1.1):
-        assert f_beta(0.5, beta) == 1.0
-        assert f_beta(0.0, beta) == pytest.approx(math.exp(-2.0 * beta), rel=1e-15)
-    assert f_beta(0.2, 0.0) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        f_beta(-0.01, 0.3)
-    with pytest.raises(ValueError):
-        f_beta(0.51, 0.3)
+        c = math.exp(-2.0 * beta)
+        assert _logf(0.5, c) == 0.0
+        assert _logf(0.0, c) == pytest.approx(-2.0 * beta, abs=1e-15)
+    assert _logf(0.2, 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_F_symmetry_sign_and_derivative():
@@ -142,7 +162,7 @@ def test_F_symmetry_sign_and_derivative():
     assert F_beta(0.25, beta) < F_beta(0.1, beta) < 0.0
     h = 1e-6
     fd = (F_beta(0.3 + h, beta) - F_beta(0.3 - h, beta)) / (2.0 * h)
-    assert fd == pytest.approx(math.log(f_beta(0.3, beta)), abs=1e-9)
+    assert fd == pytest.approx(_logf(0.3, math.exp(-2.0 * beta)), abs=1e-9)
 
 
 def _F_graded(t, beta):
@@ -375,7 +395,7 @@ def _root_straddled(t, d, beta, B):
     of each of its terms) over the curvature |d2H(t)|.
     """
     s = t - 0.5
-    parts = (math.log1p(-2.0 * s), math.log1p(2.0 * s), d * math.log(f_beta(1.0 - t, beta)))
+    parts = (math.log1p(-2.0 * s), math.log1p(2.0 * s), d * _logf(1.0 - t, math.exp(-2.0 * beta)))
     noise = 8.0 * _ULP1 * (sum(abs(v) for v in parts) + 2.0 * B)
     width = 4.0 * 2.0**-53 + 4.0 * noise / abs(d2H_beta(t, d, beta))
     return _dL(s - width, d, beta, B) > 0.0 > _dL(s + width, d, beta, B)
@@ -557,7 +577,7 @@ def test_thermo_point_evaluates_no_variational_form(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the limit path evaluated the variational form")
 
-    for name in ("F_beta", "H_beta", "dH_beta", "d2H_beta"):
+    for name in ("F_beta", "H_beta", "dH_beta"):
         monkeypatch.setattr(thermo, name, forbidden)
     for p in (ModelParams(3, 0.3, 0.0), ModelParams(3, BC3, 0.0), ModelParams(3, 0.8, 0.0),
               ModelParams(4, 0.4, 0.2), ModelParams(5, 2.9, 0.0)):
