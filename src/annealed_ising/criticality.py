@@ -23,11 +23,11 @@ takes beta_c from `_critical_point`, which rejects d < 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .finiten import _distinct_sizes, _grid, mgf_scaled, spin_law
+from .finiten import _distinct_sizes, _grid, spin_law
 from .matching import log_g_table
 from .quadrature import _nodes
 from .thermo import ModelParams, _logf, critical_beta, dH_beta, thermo_point
@@ -45,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScalingLimit:
+class ScalingLimit(NamedTuple):
     """The law with density exp(-a x^4) / normalizer on the real line.
 
     quartic_coeff a = (d-1)(d-2)/(12 d^2); normalizer is the total integral
@@ -372,8 +371,9 @@ def scaling_limit_check(
 
     Tracks E[(S/n^{3/4})^2], E[(S/n^{3/4})^4] (must approach the limit moment
     monotonically and land within 3% at the largest n), the KS distance
-    (strictly decreasing), and the scaled mgf at the largest n (within 2% of
-    the limit's moment-series values, `ScalingLimit.mgf`).
+    (strictly decreasing), and the scaled mgf E[e^{r S/n^{3/4}}] =
+    law.mgf(r / n^{3/4}) at the largest n (within 2% of the limit's
+    moment-series values, `ScalingLimit.mgf`).
     """
     n_list = _distinct_sizes(n_list)
     rs = (0.5, 1.0, 2.0)
@@ -385,7 +385,7 @@ def scaling_limit_check(
         m2s.append(law.moment(2) / n**1.5)
         m4s.append(law.moment(4) / n**3.0)
         kss.append(_ks_distance(law, limit))
-    mgf_est = {r: mgf_scaled(law, r) for r in rs}  # the law at the largest n
+    mgf_est = {r: law.mgf(r / law.n**0.75) for r in rs}  # the law at the largest n
     mgf_target = {r: limit.mgf(r) for r in rs}
 
     gaps = [abs(m - limit.moment4) for m in m4s]

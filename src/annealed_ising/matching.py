@@ -7,23 +7,22 @@ suite holds the two equal, and the float laws built on them are test oracles
 (tests/pairing_laws.py). The scalar weight g_beta(k, m) = E[exp(-2 beta X)]
 is what averaging over the pairing model attaches to a spin split, and the
 per-size table values[j] = log g_beta(dj, dn) feeds every finite-size
-quantity; on disk it is one `.npy` file holding a record of d, n, beta and
-values, in the directory the caller names and nowhere else. A cache hit is
-one unbuffered read, a compare of the header and of the record's leading
-24 bytes (d, n and beta packed as `struct` "<qqd") against the request, and
-the values as a read-only `np.frombuffer` view. Every count here is exact.
+quantity; on disk it is one `.bin` file, in the directory the caller names
+and nowhere else, holding the key (d, n and beta packed as `struct` "<qqd",
+24 bytes) and the n + 1 values as little-endian doubles. A cache hit is one
+unbuffered read, a bitwise compare of the key against the request, and the
+values as a read-only `np.frombuffer` view. Every count here is exact.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +36,7 @@ __all__ = [
     "table_identities",
 ]
 
-@dataclass(frozen=True)
-class LogG:
+class LogG(NamedTuple):
     """Log matching-transform table: values[j] = log g_beta(dj, dn), j = 0..n."""
 
     d: int
@@ -139,40 +137,27 @@ def _cache_file(cache_dir, d: int, n: int, beta: float) -> str:
     """
     if not cache_dir:
         raise ValueError("cache_dir '': name a directory")
-    return os.path.join(os.path.expanduser(cache_dir), f"gtable_d{d}_n{n}_b{float(beta)!r}.npy")
-
-
-@functools.lru_cache(maxsize=64)
-def _layout(n: int) -> tuple[np.dtype, bytes]:
-    """The one record dtype a cache file for an n-vertex table may hold, and
-    the header bytes np.lib.format writes ahead of it (memoised per n)."""
-    rtype = np.dtype([("d", "<i8"), ("n", "<i8"), ("beta", "<f8"), ("values", "<f8", (n + 1,))])
-    buf = io.BytesIO()
-    np.lib.format.write_array(buf, np.zeros((), rtype), allow_pickle=False)
-    return rtype, buf.getvalue()[: -rtype.itemsize]
+    return os.path.join(os.path.expanduser(cache_dir), f"gtable_d{d}_n{n}_b{float(beta)!r}.bin")
 
 
 def _read_cache(path: str, d: int, n: int, beta: float) -> np.ndarray | None:
-    """Load a cache record; any mismatch or corruption means 'recompute'.
+    """Load a cache file; any mismatch or corruption means 'recompute'.
 
-    The file must be exactly the header and one record of `_layout(n)`, read
-    in one unbuffered read (a short read is a mismatch too); its leading
-    (d, n, beta) must equal the request bitwise, one 24-byte compare; and
-    every value must be a finite log-weight, so <= 0. The values returned
-    are read-only.
+    The file must be exactly the 24-byte key and n + 1 doubles, read in one
+    unbuffered read of one byte more (a short or long file is a mismatch);
+    the key must equal the request's (d, n, beta) bitwise; and every value
+    must be a finite log-weight, so <= 0. The values returned are read-only.
     """
-    rtype, head = _layout(n)
-    size = len(head) + rtype.itemsize
+    key = struct.pack("<qqd", d, n, beta)
+    size = len(key) + 8 * (n + 1)
     try:
         with open(path, "rb", buffering=0) as fh:
             buf = fh.read(size + 1)
     except OSError:
         return None
-    if len(buf) != size or not buf.startswith(head):
+    if len(buf) != size or not buf.startswith(key):
         return None
-    if buf[len(head) : len(head) + 24] != struct.pack("<qqd", d, n, beta):
-        return None
-    values = np.frombuffer(buf, "<f8", n + 1, len(head) + 24)
+    values = np.frombuffer(buf, "<f8", n + 1, len(key))
     if not (values.max() <= 0.0 and values.min() > -np.inf):  # false for nan too
         return None
     return values
@@ -180,11 +165,10 @@ def _read_cache(path: str, d: int, n: int, beta: float) -> np.ndarray | None:
 
 def _write_cache(path: Path, d: int, n: int, beta: float, values: np.ndarray) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    rtype, head = _layout(n)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(head + np.array((d, n, beta, values), dtype=rtype).tobytes())
+            fh.write(struct.pack("<qqd", d, n, beta) + values.astype("<f8", copy=False).tobytes())
         os.replace(tmp, path)  # atomic on POSIX
     except BaseException:
         if os.path.exists(tmp):

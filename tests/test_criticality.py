@@ -105,8 +105,8 @@ def _gl_mgf(a, r, panels=200, npts=32):
 @pytest.mark.parametrize("d", [3, 4, 5])
 @pytest.mark.parametrize("r", [-3.5, 3.5, 5.0, 10.0])
 def test_scaling_limit_mgf_at_large_r(d, r):
-    """mgf holds to 1e-12 relative over the range |r| <= 10 that mgf_scaled
-    accepts, where it grows to ~1e16 at d=3 and r=10."""
+    """mgf holds to 1e-12 relative over |r| <= 10, where it grows to ~1e16
+    at d=3 and r=10."""
     lim = scaling_limit(d)
     assert lim.mgf(r) == pytest.approx(_gl_mgf(lim.quartic_coeff, r), rel=1e-12)
 

@@ -13,8 +13,6 @@ from annealed_ising import (
     critical_beta,
     critical_window,
     finite_size_checks,
-    finite_pressure_increment,
-    mgf_scaled,
     spin_law,
     thermo_point,
     write_spinlaw_csv,
@@ -203,23 +201,25 @@ def _decimal_mgf(w, r, inside):
         return float(num / den)
 
 
-def _mgf_error_bound(n, js, x, m, r, inside):
+def _mgf_error_bound(n, js, x, m, t, inside, arg=4):
     """First-order bound on the relative error of sum_in(mass e^y) / sum_in(mass) from its float steps.
 
-    Computed from the oracle's law only, with y = r s / n^{3/4}. Each lane adds
-    to its mass error (_mass_rounding) the rounding of y (r s, the 1-ulp pow
-    n**0.75 and the division: 4u |y|, which exp turns into a relative error),
-    exp (4u) and the product (u); the sum of these positive terms adds depth
-    u. Over a window the sum of masses has the same depth and lane errors, and
-    the division adds u. The full mgf has no such division; the bound keeps
-    it. u more covers the oracle's own rounding to a float.
+    Computed from the oracle's law only, with y = t s. Each lane adds to its
+    mass error (_mass_rounding) the rounding of y, arg u |y|, which exp turns
+    into a relative error; exp (4u) and the product (u); the sum of these
+    positive terms adds depth u. arg counts the argument's roundings: 4 for
+    t = r / n**0.75 (the 1-ulp pow, the division, the product t s) and 1 for
+    an exact float t (the product alone). Over a window the sum of masses has
+    the same depth and lane errors, and the division adds u. The full mgf has
+    no such division; the bound keeps it. u more covers the oracle's own
+    rounding to a float.
     """
     u = _U
     depth, rho = _mass_rounding(n, x, m)
-    y = r * (2.0 * js - n) / n**0.75
+    y = t * (2.0 * js - n)
     keep = inside[js.astype(np.int64)]
     me, mk, rk = m[keep] * np.exp(y[keep]), m[keep], rho[keep]
-    num = float(np.sum(me * (rk + 4 * u * np.abs(y[keep]) + 5 * u))) / float(np.sum(me)) + depth * u
+    num = float(np.sum(me * (rk + arg * u * np.abs(y[keep]) + 5 * u))) / float(np.sum(me)) + depth * u
     den = float(np.sum(mk * rk)) / float(np.sum(mk)) + depth * u
     return num + den + 2 * u
 
@@ -240,11 +240,13 @@ def _lse_full(v):
 
 
 def _increment_full(t, B, dB):
+    """E[e^{dB S}] at field B, summed over masses taken by a full np.exp of every lane."""
     j = np.arange(t.n + 1, dtype=np.float64)
+    s = 2.0 * j - t.n
     w = _log_x(t) + 2.0 * B * j
     p = np.exp(w - float(np.max(w)))
     p /= np.sum(p)
-    return math.log(float(np.sum(p * np.exp(2.0 * dB * j)))) / t.n - dB
+    return float(np.sum(p * np.exp(dB * s)))
 
 
 @pytest.mark.parametrize(
@@ -253,8 +255,8 @@ def _increment_full(t, B, dB):
 )
 def test_skipped_lanes_keep_every_query_bitwise(get_table, n, beta, Bs, underflow):
     # at beta = 3 most lanes of exp(w - max w) underflow to 0, at beta_c none do;
-    # psi_n and the increment are bitwise the full-exp forms, the mgfs sit
-    # within the derived bound of the decimal oracle
+    # psi_n and the transform at a field step are bitwise the full-exp forms,
+    # the scaled mgfs sit within the derived bound of the decimal oracle
     t = get_table(3, n, beta)
     log_x = _log_x(t)
     j = np.arange(n + 1, dtype=np.float64)
@@ -265,19 +267,20 @@ def test_skipped_lanes_keep_every_query_bitwise(get_table, n, beta, Bs, underflo
         law = spin_law(t, B)
         assert law.psi == 3 * beta / 2.0 - B + _lse_full(w) / n
         for dB in (1e-5, -1e-5, 0.01):
-            assert finite_pressure_increment(law, dB) == _increment_full(t, B, dB)
+            assert law.mgf(dB) == _increment_full(t, B, dB)
     law = spin_law(t)
     js, x, m = _decimal_law(log_x)[:3]
     everywhere = np.ones(n + 1, dtype=bool)
     for r in (0.5, 1.0, 2.0, -2.0, 10.0):
         want = _decimal_mgf(log_x, r, everywhere)
-        assert abs(mgf_scaled(law, r) - want) <= _mgf_error_bound(n, js, x, m, r, everywhere) * want, r
+        bound = _mgf_error_bound(n, js, x, m, r / n**0.75, everywhere)
+        assert abs(law.mgf(r / n**0.75) - want) <= bound * want, r
     if beta == BC3:
         (gap,) = critical_window([law])["estimates"]["mgf_gap"]
         inside = np.abs(j - n // 2) <= n ** (5.0 / 6.0)
         full, windowed = _decimal_mgf(log_x, 1.0, everywhere), _decimal_mgf(log_x, 1.0, inside)
-        err = _mgf_error_bound(n, js, x, m, 1.0, everywhere) * full
-        err += _mgf_error_bound(n, js, x, m, 1.0, inside) * windowed
+        err = _mgf_error_bound(n, js, x, m, 1.0 / n**0.75, everywhere) * full
+        err += _mgf_error_bound(n, js, x, m, 1.0 / n**0.75, inside) * windowed
         assert abs(gap - abs(full - windowed)) <= err + _U * gap
 
 
@@ -325,8 +328,8 @@ def test_increment_based_derivatives_beat_naive_differencing(get_table):
     t = get_table(3, 500, 0.4)
     B, h = 0.1, 1e-5
     law = spin_law(t, B)
-    up = finite_pressure_increment(law, h)
-    dn = finite_pressure_increment(law, -h)
+    up = math.log(law.mgf(h)) / law.n
+    dn = math.log(law.mgf(-h)) / law.n
     m_fd = (up - dn) / (2.0 * h)
     chi_fd = (up + dn) / (h * h)
     assert law.M == pytest.approx(m_fd, abs=1e-8)
@@ -341,11 +344,49 @@ def test_increment_based_derivatives_beat_naive_differencing(get_table):
     assert abs(chi_fd - chi) < abs(naive - chi)
 
 
+def _decimal_increment(w, dB):
+    """psi_n(B + dB) - psi_n(B) under log-weights w at B, in 40-digit decimal.
+
+    Tilts the exact float inputs by 2 dB j and takes the difference of the
+    two log-sums, -dB + (1/n)(log sum e^{w_j + 2 dB j} - log sum e^{w_j}), so
+    the identity e^{2 dB j} = e^{dB n} e^{dB s} that the transform rests on
+    is not used; lanes are left out as in _decimal_law.
+    """
+    n = len(w) - 1
+    top = float(np.max(w))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        step = 2 * Decimal(dB)
+        tilted = plain = Decimal(0)
+        for j in np.flatnonzero(w - top > -250.0):
+            x = Decimal(float(w[j])) - Decimal(top)
+            plain += x.exp()
+            tilted += (x + step * int(j)).exp()
+        return float(-Decimal(dB) + (tilted.ln() - plain.ln()) / n)
+
+
+@pytest.mark.parametrize("dB", [1e-5, -1e-5, 2e-4, -2e-4, 4e-4, -4e-4])
+def test_log_mgf_is_the_pressure_increment_of_the_decimal_oracle(get_table, dB):
+    # (1/n) log E[e^{dB S}] against psi_n(B + dB) - psi_n(B) from the tilted
+    # sums. The mgf's relative error delta is _mgf_error_bound with the
+    # argument dB s rounded once; log turns it into an absolute delta and adds
+    # 2u |log mgf|, and the division by n and the oracle's own rounding add u
+    # of the increment each
+    n, beta, B = 500, 0.4, 0.1
+    w = _log_x(get_table(3, n, beta)) + 2.0 * B * np.arange(n + 1, dtype=np.float64)
+    js, x, m = _decimal_law(w)[:3]
+    law = spin_law(get_table(3, n, beta), B)
+    got = math.log(law.mgf(dB)) / n
+    delta = _mgf_error_bound(n, js, x, m, dB, np.ones(n + 1, dtype=bool), arg=1)
+    bound = (delta + 2 * _U * abs(got * n)) / n + 2 * _U * abs(got)
+    assert abs(got - _decimal_increment(w, dB)) <= bound
+
+
 def test_increment_rejects_a_non_finite_step(get_table):
     law = spin_law(get_table(3, 100, 0.4), 0.1)
     for dB in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            finite_pressure_increment(law, dB)
+            law.mgf(dB)
 
 
 def test_offcritical_variance_approaches_chi(get_table):
@@ -358,16 +399,19 @@ def test_offcritical_variance_approaches_chi(get_table):
 
 
 def test_mgf_scaled_basics(get_table):
-    law = spin_law(get_table(3, 500, BC3))
-    assert mgf_scaled(law, 0.0) == 1.0
+    n = 500
+    law = spin_law(get_table(3, n, BC3))
+    scale = n**0.75
+    assert law.mgf(0.0) == 1.0
     for r in (0.5, 1.0, 2.0):
-        a, b = mgf_scaled(law, r), mgf_scaled(law, -r)
+        a, b = law.mgf(r / scale), law.mgf(-r / scale)
         assert a == pytest.approx(b, rel=1e-13)  # the law is symmetric
         assert a > 1.0
-    assert mgf_scaled(law, 0.5) < mgf_scaled(law, 1.0) < mgf_scaled(law, 2.0)
-    for r in (11.0, math.nan, math.inf, -math.inf):  # abs(nan) > 10 is False
+    assert law.mgf(0.5 / scale) < law.mgf(1.0 / scale) < law.mgf(2.0 / scale)
+    assert math.isfinite(law.mgf(700.0 / n)) and math.isfinite(law.mgf(-700.0 / n))  # |t| n = 700
+    for t in (1.5, -1.5, math.nan, math.inf, -math.inf):  # |t| n = 750; abs(nan) * n <= 700 is False
         with pytest.raises(ValueError):
-            mgf_scaled(law, r)
+            law.mgf(t)
 
 
 def test_truncation_report_shape_and_honesty(get_table):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +10,18 @@ import pytest
 
 from annealed_ising import (
     F_beta,
+    LogG,
+    ScalingLimit,
+    SpinLaw,
     critical_beta,
     log_g_table,
     matching,
     pairing_law_exact,
+    scaling_limit,
+    spin_law,
     table_identities,
 )
-from annealed_ising.matching import _layout, cache_path
+from annealed_ising.matching import cache_path
 from pairing_laws import brute_force_law, cross_count_law
 
 
@@ -228,9 +234,14 @@ def _npy(array) -> bytes:
     return buf.getvalue()
 
 
-def _record_file(d, n, beta, values) -> bytes:
-    """A cache file built from the stated format: one record of d, n, beta, values."""
+def _npy_record(d, n, beta, values) -> bytes:
+    """The .npy file earlier versions cached: one numpy record of d, n, beta, values."""
     return _npy(np.array((d, n, beta, values), dtype=[*_HEAD, ("values", "<f8", values.shape)]))
+
+
+def _record_file(d, n, beta, values) -> bytes:
+    """A cache file built from the stated format: the key (d, n, beta), then the values."""
+    return struct.pack("<qqd", d, n, beta) + np.asarray(values, dtype="<f8").tobytes()
 
 
 def test_cache_roundtrip_and_hit(tmp_path):
@@ -239,7 +250,7 @@ def test_cache_roundtrip_and_hit(tmp_path):
     t1 = log_g_table(d, n, beta, cache_dir=tmp_path)
     path = cache_path(tmp_path, d, n, beta)
     assert path.exists()
-    assert path.name == "gtable_d3_n30_b0.41.npy"
+    assert path.name == "gtable_d3_n30_b0.41.bin"
     stamp = path.stat().st_mtime_ns
     t2 = log_g_table(d, n, beta, cache_dir=tmp_path)
     assert path.stat().st_mtime_ns == stamp  # reused, not rewritten
@@ -273,14 +284,12 @@ def test_table_values_are_read_only_on_a_miss_and_a_hit(tmp_path):
 
 
 def test_cache_file_is_the_header_and_one_record(tmp_path):
+    # the header is the 24-byte key, the record the n + 1 little-endian doubles
     d, n, beta = 3, 20, 0.3
     values = log_g_table(d, n, beta, cache_dir=tmp_path).values
-    rtype, head = _layout(n)
-    assert _layout(n) is _layout(n)
-    record = np.array((d, n, beta, values), dtype=rtype)
-    assert cache_path(tmp_path, d, n, beta).read_bytes() == head + record.tobytes()
-    assert head + record.tobytes() == _npy(record)  # what np.lib.format writes
-    assert len(head) % 64 == 0  # so the record's doubles sit aligned
+    data = cache_path(tmp_path, d, n, beta).read_bytes()
+    assert data == struct.pack("<qqd", d, n, beta) + values.astype("<f8").tobytes()
+    assert len(data) == 24 + 8 * (n + 1)
 
 
 def test_cache_rejects_corruption(tmp_path):
@@ -316,7 +325,7 @@ def test_cache_rejects_a_header_for_another_beta(tmp_path):
     path.write_bytes(cache_path(tmp_path, d, n, 0.3).read_bytes())  # a 0.3 table filed as 0.4
     fresh = log_g_table(d, n, 0.4).values
     assert np.array_equal(log_g_table(d, n, 0.4, cache_dir=tmp_path).values, fresh)
-    assert np.load(path)["beta"] == 0.4  # rewritten
+    assert struct.unpack_from("<qqd", path.read_bytes()) == (d, n, 0.4)  # rewritten
 
 
 @pytest.mark.parametrize(
@@ -394,12 +403,11 @@ def _extra_row(good, values):
 
 
 def _three_fields(good, values):
-    dtype = [*_HEAD, ("values", "<f8", values.shape), ("extra", "<f8")]
-    return _npy(np.array((_D, _N, _BETA, values, -0.25), dtype=dtype))
+    return good + struct.pack("<d", -0.25)  # a third field after the key and the values
 
 
 def _no_rows(good, values):
-    return good[: -(24 + 8 * values.size)]  # the header alone
+    return good[:24]  # the key alone
 
 
 def _assert_rewritten(tmp_path, corrupt):
@@ -416,35 +424,8 @@ def _assert_rewritten(tmp_path, corrupt):
 @pytest.mark.filterwarnings("error")  # rejecting a file is silent
 @pytest.mark.parametrize("corrupt", [_drop_row, _extra_row, _three_fields, _no_rows])
 def test_cache_rejects_a_body_that_is_not_rows_0_to_n(tmp_path, corrupt):
-    # "rows" are the entries j = 0..n of the values field
+    # "rows" are the entries j = 0..n of the values
     _assert_rewritten(tmp_path, corrupt)
-
-
-def _npy_version_2(good, values):
-    # a valid .npy of the right record, under a header the writer does not produce
-    buf = io.BytesIO()
-    record = np.array((_D, _N, _BETA, values), dtype=_layout(_N)[0])
-    np.lib.format.write_array(buf, record, version=(2, 0), allow_pickle=False)
-    return buf.getvalue()
-
-
-def _padded_header(good, values):
-    # the same header dict, padded by 64 more spaces: np.load reads it, the cache does not
-    head = _layout(_N)[1]
-    text = head[10:-1] + b" " * 64 + b"\n"
-    return head[:8] + len(text).to_bytes(2, "little") + text + good[len(head) :]
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("corrupt", [_npy_version_2, _padded_header])
-def test_cache_serves_a_record_only_under_the_writers_header(tmp_path, corrupt):
-    fresh = log_g_table(_D, _N, _BETA).values
-    rtype, head = _layout(_N)
-    record = np.array((_D, _N, _BETA, fresh), dtype=rtype)
-    good = head + record.tobytes()
-    assert np.load(io.BytesIO(corrupt(good, fresh))).tobytes() == record.tobytes()  # a valid .npy
-    _assert_rewritten(tmp_path, corrupt)
-    assert cache_path(tmp_path, _D, _N, _BETA).read_bytes() == good
 
 
 def _empty(good, values):
@@ -456,17 +437,16 @@ def _truncated(good, values):
 
 
 def _trailing_bytes(good, values):
-    # the file must be the record and nothing else, so a tail means rewrite
+    # the file must be the key and values and nothing else, so a tail means rewrite
     return good + b"\x00"
 
 
 def _plain_array(good, values):
-    return _npy(values)  # right values, no fields
+    return values.astype("<f8").tobytes()  # right values, no key
 
 
 def _record_in_an_array(good, values):
-    dtype = [*_HEAD, ("values", "<f8", values.shape)]
-    return _npy(np.array([(_D, _N, _BETA, values)], dtype=dtype))  # shape (1,), not ()
+    return _npy_record(_D, _N, _BETA, values)  # the earlier .npy record under the new name
 
 
 def _npz(good, values):
@@ -476,8 +456,8 @@ def _npz(good, values):
 
 
 def _big_endian(good, values):
-    dtype = [("d", ">i8"), ("n", ">i8"), ("beta", ">f8"), ("values", ">f8", values.shape)]
-    return _npy(np.array((_D, _N, _BETA, values), dtype=dtype))
+    # the right length; the key compare rejects it
+    return struct.pack(">qqd", _D, _N, _BETA) + values.astype(">f8").tobytes()
 
 
 @pytest.mark.filterwarnings("error")
@@ -487,3 +467,32 @@ def _big_endian(good, values):
 )
 def test_cache_rejects_a_file_that_is_not_one_record(tmp_path, corrupt):
     _assert_rewritten(tmp_path, corrupt)
+
+
+def test_an_earlier_npy_file_is_left_beside_the_new_one(tmp_path):
+    # the .npy an earlier version wrote (here holding values 1e-11 off, as the
+    # windowed fill's were) is never opened: the table is filled, written as
+    # .bin, and the .npy keeps every byte
+    fresh = log_g_table(_D, _N, _BETA).values
+    old = tmp_path / f"gtable_d{_D}_n{_N}_b{_BETA!r}.npy"
+    old.write_bytes(_npy_record(_D, _N, _BETA, fresh - 1e-11))
+    before = old.read_bytes()
+    assert np.array_equal(log_g_table(_D, _N, _BETA, cache_dir=tmp_path).values, fresh)
+    path = cache_path(tmp_path, _D, _N, _BETA)
+    assert path.read_bytes() == _record_file(_D, _N, _BETA, fresh)
+    assert old.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([old.name, path.name])
+
+
+def test_table_law_and_limit_are_read_only_records(get_table):
+    table = get_table(3, 20, 0.3)
+    law = spin_law(table, 0.1)
+    limit = scaling_limit(3)
+    records = [(table, LogG), (law, SpinLaw), (limit, ScalingLimit)]
+    for rec, cls in records:
+        assert isinstance(rec, cls)
+        for field in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, field, 1.0)
+        with pytest.raises(AttributeError):
+            rec.extra = 1  # no instance dict either
