@@ -12,11 +12,11 @@ rests on H', H'' and H''' vanishing at t = 1/2, beta_c with H'''' < 0; the
 Taylor check measures all four by central stencils on the closed-form H' of
 `thermo.dH_beta`.
 
-Each check is one function that returns a JSON-ready dict shaped
+Each check returns a JSON-ready dict shaped
 {check, d, grid, estimates, targets, tolerances, pass}: `taylor_check`,
-the three `fit_exponent_*` (which add separate exponent_pass and
-amplitude_pass verdicts), `specific_heat_jump` and `scaling_limit_check`.
-Each compares against constants written next to their formulas, and each
+the four power-law fits of `exponent_checks` (which add separate
+exponent_pass and amplitude_pass verdicts), `specific_heat_jump` and
+`scaling_limit_check`. Each compares against constants written next to their formulas, and each
 takes beta_c from `_critical_point`, which rejects d < 3.
 """
 
@@ -36,9 +36,6 @@ __all__ = [
     "ScalingLimit",
     "scaling_limit",
     "taylor_check",
-    "fit_exponent_beta",
-    "fit_exponent_delta",
-    "fit_exponent_gamma",
     "exponent_checks",
     "specific_heat_jump",
     "scaling_limit_check",
@@ -224,45 +221,37 @@ _FIELDS = np.geomspace(1e-9, 1e-4, 8)  # B of the delta fit
 _OFFSETS.flags.writeable = _FIELDS.flags.writeable = False
 
 
-def fit_exponent_beta(d: int) -> dict:
-    """Spontaneous magnetization onset: M ~ A (beta - beta_c)^{1/2}."""
-    bc = _critical_point(d)
-    vals = np.array([thermo_point(ModelParams(d, bc + dl, 0.0)).M for dl in _OFFSETS.tolist()])
-    amp = float(vals[0] / _OFFSETS[0] ** 0.5)
-    return _power_law_report("exponent_beta", d, _OFFSETS, vals, amp, 0.5, d * math.sqrt(3.0 / (d - 1.0)))
-
-
-def fit_exponent_delta(d: int) -> dict:
-    """Critical isotherm: M(beta_c, B) ~ A B^{1/3}."""
-    bc = _critical_point(d)
-    vals = np.array([thermo_point(ModelParams(d, bc, B)).M for B in _FIELDS.tolist()])
-    amp = float(vals[0] / _FIELDS[0] ** (1.0 / 3.0))
-    target_amp = 2.0 * (3.0 * d * d / (8.0 * (d - 1.0) * (d - 2.0))) ** (1.0 / 3.0)
-    return _power_law_report("exponent_delta", d, _FIELDS, vals, amp, 1.0 / 3.0, target_amp)
-
-
-def fit_exponent_gamma(d: int, side: str) -> dict:
-    """Susceptibility divergence chi ~ A |beta - beta_c|^{-1} on either side."""
-    bc = _critical_point(d)
-    if side not in ("below", "above"):
-        raise ValueError(f"side={side!r}: expected 'below' or 'above'")
-    sign = -1.0 if side == "below" else 1.0
-    vals = np.array([thermo_point(ModelParams(d, bc + sign * dl, 0.0)).chi for dl in _OFFSETS.tolist()])
-    amp = float(vals[0] * _OFFSETS[0])
-    if side == "below":
-        target_amp = 1.0 / (d - 2.0)
-    else:
-        target_amp = (d - 1.0) / ((d - 2.0) * (2.0 * d + 1.0))
-    return _power_law_report(f"exponent_gamma_{side}", d, _OFFSETS, vals, amp, -1.0, target_amp)
-
-
 def exponent_checks(d: int) -> list[dict]:
-    """The `exponents` verify suite: beta, delta, and gamma from below and above."""
+    """The `exponents` verify suite: beta, delta, and gamma from below and above.
+
+    Four power laws, each fitted on eight points near beta_c: the spontaneous
+    magnetization onset M ~ A (beta - beta_c)^{1/2}, the critical isotherm
+    M(beta_c, B) ~ A B^{1/3}, and the susceptibility divergence
+    chi ~ A |beta - beta_c|^{-1} from below and from above. Each (beta, B)
+    point is solved once, 24 in all: the points above beta_c give both the M
+    of the beta fit and the chi of the gamma fit above.
+    """
+    bc = _critical_point(d)
+    above = [thermo_point(ModelParams(d, bc + dl, 0.0)) for dl in _OFFSETS.tolist()]
+    m_above, chi_above = np.array([p.M for p in above]), np.array([p.chi for p in above])
+    chi_below = np.array([thermo_point(ModelParams(d, bc - dl, 0.0)).chi for dl in _OFFSETS.tolist()])
+    m_iso = np.array([thermo_point(ModelParams(d, bc, B)).M for B in _FIELDS.tolist()])
+    beta_amp = d * math.sqrt(3.0 / (d - 1.0))
+    delta_amp = 2.0 * (3.0 * d * d / (8.0 * (d - 1.0) * (d - 2.0))) ** (1.0 / 3.0)
+    below_amp, above_amp = 1.0 / (d - 2.0), (d - 1.0) / ((d - 2.0) * (2.0 * d + 1.0))
     return [
-        fit_exponent_beta(d),
-        fit_exponent_delta(d),
-        fit_exponent_gamma(d, "below"),
-        fit_exponent_gamma(d, "above"),
+        _power_law_report(
+            "exponent_beta", d, _OFFSETS, m_above, float(m_above[0] / _OFFSETS[0] ** 0.5), 0.5, beta_amp
+        ),
+        _power_law_report(
+            "exponent_delta", d, _FIELDS, m_iso, float(m_iso[0] / _FIELDS[0] ** (1.0 / 3.0)), 1.0 / 3.0, delta_amp
+        ),
+        _power_law_report(
+            "exponent_gamma_below", d, _OFFSETS, chi_below, float(chi_below[0] * _OFFSETS[0]), -1.0, below_amp
+        ),
+        _power_law_report(
+            "exponent_gamma_above", d, _OFFSETS, chi_above, float(chi_above[0] * _OFFSETS[0]), -1.0, above_amp
+        ),
     ]
 
 

@@ -248,27 +248,59 @@ def derivative_consistency(law: SpinLaw) -> dict:
     Each increment psi_n(B +- step) - psi_n(B) is (1/n) log law.mgf(+-step),
     and each difference is Richardson-extrapolated from steps h and 2h,
     h = 2e-4, which removes its h^2 term. Rounding in the increments reaches
-    the chi difference divided by h^2, so at this h it stays at 1e-12 to
-    1e-11 (chi gaps 1.2e-11, 1.0e-12 and 3.5e-12 at d = 2, 3, 4, n = 500),
-    where a plain difference at h = 1e-5 printed ~1e-9 of rounding noise.
+    the chi difference divided by n h^2 = 2e-5 at n = 500, so the chi gap
+    prints that rounding rather than the Richardson remainder: at d = 2, 3, 4,
+    n = 500 it prints 1.2e-11, 1.0e-12 and 3.5e-12, where 40-digit
+    increments against the 40-digit chi give 1.4e-14, 2.7e-12 and 9.3e-13.
+    A plain difference at h = 1e-5 printed ~1e-9.
+
+    `chi_fd_rounding` bounds, to first order, how far the float steps move
+    the extrapolated chi from its value on exact increments of the law's
+    weights; a chi_fd_gap below it is rounding noise. With u = 2^-53, H the
+    entropy sum m log(1/m) of the masses m and D = 19 + ceil(log2(n + 1))
+    the depth of numpy's pairwise sum:
+    - each mass m_j carries u |x_j| <= u log(1/m_j) from x_j = w_j - max w
+      (the sum of e^x is at least 1), 4u from exp and u from the division,
+      plus the common error of that sum, u (H + 4 + D);
+    - law.mgf(t) adds u |t s| <= u |t| n for t s, 4u for exp, u for the
+      product and D u for the sum. Its masses enter tilted by e^{ts}
+      / mgf(t) <= e^{|t| n} / mgf(t), so its relative error is at most
+      u (e^{|t| n} H / mgf(t) + |t| n + 14 + 2D + H);
+    - log adds 2u |log mgf|, /n u of the increment, the sum of the two
+      increments, step*step and the division 3u of c = (dp + dm)/step^2;
+    - (4 c_1 - c_2)/3 carries (4 E_1 + E_2)/3 of the two c bounds E, plus
+      2u of itself.
+    The lanes spin_law leaves at 0 below its exp cut hold under (n+1) e^-746
+    of the mass, far below every term here.
     """
-    h, tol = 2e-4, 1e-6
+    h, tol, u, n = 2e-4, 1e-6, 2.0**-53, law.n
+    kept = law.masses[law.masses > 0.0]
+    entropy = float(-(kept * np.log(kept)).sum())
+    depth = 19 + math.ceil(math.log2(n + 1))
+
+    def increment(step):
+        """(1/n) log law.mgf(step) and the bound on its rounding."""
+        mgf = law.mgf(step)
+        log_mgf = math.log(mgf)
+        rel = u * (math.exp(abs(step) * n) * entropy / mgf + abs(step) * n + 14 + 2 * depth + entropy)
+        return log_mgf / n, (rel + 2 * u * abs(log_mgf)) / n + u * abs(log_mgf / n)
 
     def differences(step):
-        dp = math.log(law.mgf(step)) / law.n
-        dm = math.log(law.mgf(-step)) / law.n
-        return (dp - dm) / (2.0 * step), (dp + dm) / (step * step)
+        (dp, ep), (dm, em) = increment(step), increment(-step)
+        c = (dp + dm) / (step * step)
+        return (dp - dm) / (2.0 * step), c, (ep + em) / (step * step) + 3 * u * abs(c)
 
-    (m1, c1), (m2, c2) = differences(h), differences(2.0 * h)
+    (m1, c1, e1), (m2, c2, e2) = differences(h), differences(2.0 * h)
+    chi_fd = (4.0 * c1 - c2) / 3.0
     gaps = {
         "M_fd_gap": abs((4.0 * m1 - m2) / 3.0 - law.M),
-        "chi_fd_gap": abs((4.0 * c1 - c2) / 3.0 - law.chi),
+        "chi_fd_gap": abs(chi_fd - law.chi),
     }
     return {
         "check": "derivative_consistency",
         "d": law.d,
-        "grid": [law.n],
-        "estimates": gaps,
+        "grid": [n],
+        "estimates": {**gaps, "chi_fd_rounding": (4.0 * e1 + e2) / 3.0 + 2 * u * abs(chi_fd)},
         "targets": dict.fromkeys(gaps, 0.0),
         "tolerances": {"abs": tol},
         "pass": all(g <= tol for g in gaps.values()),

@@ -20,9 +20,7 @@ import pytest
 from annealed_ising import (
     critical_beta,
     critical_window,
-    fit_exponent_beta,
-    fit_exponent_delta,
-    fit_exponent_gamma,
+    exponent_checks,
     log_g_table,
     scaling_limit,
     scaling_limit_check,
@@ -106,11 +104,12 @@ def test_c2_taylor_coefficients():
 @pytest.fixture(scope="module")
 def exponent_fits():
     t0 = time.monotonic()
+    reports = {rep["check"]: rep for rep in exponent_checks(3)}
     fits = {
-        "magnetization": fit_exponent_beta(3),
-        "isotherm": fit_exponent_delta(3),
-        "chi_below": fit_exponent_gamma(3, "below"),
-        "chi_above": fit_exponent_gamma(3, "above"),
+        "magnetization": reports["exponent_beta"],
+        "isotherm": reports["exponent_delta"],
+        "chi_below": reports["exponent_gamma_below"],
+        "chi_above": reports["exponent_gamma_above"],
     }
     return fits, time.monotonic() - t0
 

@@ -8,9 +8,7 @@ import pytest
 from annealed_ising import (
     ScalingLimit,
     critical_beta,
-    fit_exponent_beta,
-    fit_exponent_delta,
-    fit_exponent_gamma,
+    exponent_checks,
     scaling_limit,
     scaling_limit_check,
     specific_heat_jump,
@@ -136,9 +134,7 @@ def test_taylor_check_passes(d):
     "check",
     [
         taylor_check,
-        fit_exponent_beta,
-        fit_exponent_delta,
-        lambda d: fit_exponent_gamma(d, "above"),
+        exponent_checks,
         specific_heat_jump,
         scaling_limit,
     ],
@@ -171,8 +167,13 @@ def test_taylor_check_reads_the_closed_form_derivative(monkeypatch):
 # exponent fits (d = 3); slopes and the three amplitudes with closed forms
 
 
+def _exponent_report(check: str, d: int = 3) -> dict:
+    """The report named check among the four of exponent_checks(d)."""
+    return {rep["check"]: rep for rep in exponent_checks(d)}[check]
+
+
 def test_magnetization_onset_fit():
-    rep = fit_exponent_beta(3)
+    rep = _exponent_report("exponent_beta")
     est, tgt = rep["estimates"], rep["targets"]
     assert rep["check"] == "exponent_beta"
     assert est["slope"] == pytest.approx(0.5, abs=0.02)
@@ -183,7 +184,7 @@ def test_magnetization_onset_fit():
 
 
 def test_critical_isotherm_fit():
-    rep = fit_exponent_delta(3)
+    rep = _exponent_report("exponent_delta")
     est, tgt = rep["estimates"], rep["targets"]
     assert rep["check"] == "exponent_delta"
     assert est["slope"] == pytest.approx(1.0 / 3.0, abs=0.02)
@@ -193,7 +194,7 @@ def test_critical_isotherm_fit():
 
 
 def test_susceptibility_fit_below():
-    rep = fit_exponent_gamma(3, "below")
+    rep = _exponent_report("exponent_gamma_below")
     est = rep["estimates"]
     assert rep["check"] == "exponent_gamma_below"
     assert est["slope"] == pytest.approx(-1.0, abs=0.02)
@@ -203,7 +204,7 @@ def test_susceptibility_fit_below():
 
 
 def test_susceptibility_fit_above():
-    rep = fit_exponent_gamma(3, "above")
+    rep = _exponent_report("exponent_gamma_above")
     est = rep["estimates"]
     assert rep["check"] == "exponent_gamma_above"
     assert est["slope"] == pytest.approx(-1.0, abs=0.02)
@@ -214,8 +215,29 @@ def test_susceptibility_fit_above():
     assert rep["exponent_pass"] is True
     assert rep["amplitude_pass"] is False
     assert rep["pass"] is False
-    with pytest.raises(ValueError):
-        fit_exponent_gamma(3, "sideways")
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_exponent_checks_solve_each_point_once(d, monkeypatch):
+    """The points above beta_c serve both the beta fit and the gamma fit
+    above, so the four fits of eight points each take 24 solves, not 32."""
+    seen = []
+    solve = criticality.thermo_point
+
+    def counted(params):
+        seen.append(params)
+        return solve(params)
+
+    monkeypatch.setattr(criticality, "thermo_point", counted)
+    reports = exponent_checks(d)
+    assert [rep["check"] for rep in reports] == [
+        "exponent_beta",
+        "exponent_delta",
+        "exponent_gamma_below",
+        "exponent_gamma_above",
+    ]
+    assert len(seen) == 24
+    assert len(set(seen)) == 24
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])

@@ -182,6 +182,84 @@ def test_magnetization_and_susceptibility_match_the_decimal_oracle(get_table, be
     assert abs(law.chi - var / n) <= rel_chi * (var / n)
 
 
+def _cycle_pressure(n, beta, B):
+    """(1/n) log E[Z_n] at d = 2 in closed form, in 50-digit decimal.
+
+    A 2-regular configuration graph is a union of cycles, and averaging the
+    transfer-matrix traces over the pairings gives
+    E[Z_n] = n!/(2n-1)!! (2 sqrt(det T))^n P_n(tr T / (2 sqrt(det T))), with
+    T = [[e^{beta+B}, e^{-beta}], [e^{-beta}, e^{beta-B}]] and P_n the Legendre
+    polynomial. W_k = k!/(2k-1)!! (2 sqrt(det T))^k P_k folds the prefactor
+    into Legendre's recurrence: W_{k+1} = tr T W_k - det T 4k^2/(4k^2-1) W_{k-1},
+    W_0 = 1, W_1 = tr T, with no square root left. tr T > 2 sqrt(det T), so P_k
+    is the growing solution and the forward recurrence is stable; its n steps
+    lose about n 1e-50 relative, far below a double's rounding.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        b, f = Decimal(beta), Decimal(B)
+        tr = (b + f).exp() + (b - f).exp()
+        det = (2 * b).exp() - (-2 * b).exp()
+        prev, cur = Decimal(1), tr
+        for k in range(1, n):
+            kk = 4 * k * k
+            prev, cur = cur, tr * cur - det * kk / (kk - 1) * prev
+        return cur.ln() / n
+
+
+def _psi_error_bound(table, law):
+    """First-order bound on |psi_n - (1/n) log E[Z_n]| from the float steps behind psi_n.
+
+    The weights w_j = log C(n, j) + log g_j + 2Bj carry:
+    - the table row's 8u(k + max(1, |log g_j|)), k = min(dj, dn - dj), from
+      the kernels docstring;
+    - for each log i! = lgamma(i + 1), 5 ulp <= 10u |log i!| or 1e-15, what
+      CPython's own tests hold lgamma to, and u each for the sum and the
+      difference that make log C(n, j);
+    - u each for the two additions and the product 2Bj.
+    log-sum-exp moves by at most the largest change of any weight. spin_law's
+    sum of e_j = exp(w_j - max w) then errs by its lanes' roundings (u |x_j|
+    for x_j = w_j - max w, 4u for exp) and its pairwise depth, as in
+    _mass_rounding. log adds 2u |log sum|, max w + log sum adds u |z|, z/n
+    adds u |z/n|, and - B and + z/n add u of their results; beta d/2 is exact
+    at d = 2. The lanes spin_law leaves at 0 below the exp cut carry less
+    than (n+1) e^-746 of the sum.
+    """
+    u, n, d, B = _U, table.n, table.d, law.B
+    j = np.arange(n + 1, dtype=np.float64)
+    log_g = table.values
+    rows = 8 * u * (np.minimum(d * j, d * (n - j)) + np.maximum(1.0, np.abs(log_g)))
+    lf = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    fact = 10 * u * lf + 1e-15
+    log_binom = finiten._grid(n)[2]
+    binom = fact[n] + fact + fact[::-1] + u * (lf + lf[::-1]) + u * np.abs(log_binom)
+    w = log_binom + log_g + 2.0 * B * j
+    assembly = u * (np.abs(log_binom + log_g) + np.abs(2.0 * B * j) + np.abs(w))
+    weights = float(np.max(rows + binom + assembly))
+    top = float(np.max(w))
+    x = w - top
+    depth = _mass_rounding(n, x, law.masses)[0]
+    log_total = math.log(float(np.sum(np.exp(x))))
+    z = top + log_total
+    lse = float(np.sum(law.masses * (u * np.abs(x) + 4 * u))) + depth * u
+    lse += 2 * u * abs(log_total) + u * abs(z)
+    return (weights + lse) / n + u * abs(z / n) + u * abs(table.beta * d / 2.0 - B) + u * abs(law.psi)
+
+
+@pytest.mark.parametrize(
+    "n, beta, B", [(4, 0.3, 0.1), (100, 0.4, 0.2), (1000, 1.0, 0.05), (1000, 0.3, 0.0), (8000, 0.5, 0.1)]
+)
+def test_cycle_graphs_match_the_legendre_closed_form(n, beta, B):
+    # d = 2: the pressure from the table and spin law against the cycle-graph
+    # closed form, which needs neither the Isserlis recurrence nor the law of X
+    table = log_g_table(2, n, beta)
+    law = spin_law(table, B)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        gap = abs(Decimal(law.psi) - _cycle_pressure(n, beta, B))
+    assert float(gap) <= _psi_error_bound(table, law)
+
+
 def _decimal_mgf(w, r, inside):
     """E[exp(r S / n^{3/4}) | j in the window] under log-weights w, in 40-digit decimal.
 
@@ -344,8 +422,8 @@ def test_increment_based_derivatives_beat_naive_differencing(get_table):
     assert abs(chi_fd - chi) < abs(naive - chi)
 
 
-def _decimal_increment(w, dB):
-    """psi_n(B + dB) - psi_n(B) under log-weights w at B, in 40-digit decimal.
+def _decimal_increments(w, dBs):
+    """psi_n(B + dB) - psi_n(B) for each dB under log-weights w at B, as 40-digit decimals.
 
     Tilts the exact float inputs by 2 dB j and takes the difference of the
     two log-sums, -dB + (1/n)(log sum e^{w_j + 2 dB j} - log sum e^{w_j}), so
@@ -354,15 +432,17 @@ def _decimal_increment(w, dB):
     """
     n = len(w) - 1
     top = float(np.max(w))
+    lanes = np.flatnonzero(w - top > -250.0)
     with localcontext() as ctx:
         ctx.prec = 40
-        step = 2 * Decimal(dB)
-        tilted = plain = Decimal(0)
-        for j in np.flatnonzero(w - top > -250.0):
-            x = Decimal(float(w[j])) - Decimal(top)
-            plain += x.exp()
-            tilted += (x + step * int(j)).exp()
-        return float(-Decimal(dB) + (tilted.ln() - plain.ln()) / n)
+        xs = [(Decimal(float(w[j])) - Decimal(top), int(j)) for j in lanes]
+        plain = sum(x.exp() for x, _ in xs).ln()
+        out = []
+        for dB in dBs:
+            step = 2 * Decimal(dB)
+            tilted = sum((x + step * j).exp() for x, j in xs).ln()
+            out.append(-Decimal(dB) + (tilted - plain) / n)
+        return out
 
 
 @pytest.mark.parametrize("dB", [1e-5, -1e-5, 2e-4, -2e-4, 4e-4, -4e-4])
@@ -379,7 +459,8 @@ def test_log_mgf_is_the_pressure_increment_of_the_decimal_oracle(get_table, dB):
     got = math.log(law.mgf(dB)) / n
     delta = _mgf_error_bound(n, js, x, m, dB, np.ones(n + 1, dtype=bool), arg=1)
     bound = (delta + 2 * _U * abs(got * n)) / n + 2 * _U * abs(got)
-    assert abs(got - _decimal_increment(w, dB)) <= bound
+    (want,) = _decimal_increments(w, (dB,))
+    assert abs(got - float(want)) <= bound
 
 
 def test_increment_rejects_a_non_finite_step(get_table):
@@ -510,6 +591,29 @@ def test_derivative_gaps_are_below_rounding_noise_of_a_plain_difference(cache_di
     assert check["estimates"]["M_fd_gap"] <= 1e-12
     assert check["estimates"]["chi_fd_gap"] <= 2e-10
     assert check["pass"] is True
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_chi_fd_gap_is_the_exact_gap_within_its_rounding_bound(get_table, d):
+    # the printed chi_fd_gap against the same Richardson on 40-digit increments
+    # of the law's float weights, minus the 40-digit chi: the two gaps differ
+    # by the rounding of the float steps (chi_fd_rounding), chi_n's own error
+    # (_spin_law_error_bounds), the gap's subtraction and the oracle's chi
+    n, beta, B, h = 500, 0.4, 0.1, 2e-4
+    table = get_table(d, n, beta)
+    w = _log_x(table) + 2.0 * B * np.arange(n + 1, dtype=np.float64)
+    js, x, m, mean, var = _decimal_law(w)
+    est = finiten.derivative_consistency(spin_law(table, B))["estimates"]
+    up1, dn1, up2, dn2 = _decimal_increments(w, (h, -h, 2.0 * h, -2.0 * h))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        c1 = (up1 + dn1) / Decimal(h) ** 2
+        c2 = (up2 + dn2) / Decimal(2.0 * h) ** 2
+        exact_gap = float(abs((4 * c1 - c2) / 3 - Decimal(var) / n))
+    rel_chi = _spin_law_error_bounds(n, js, x, m, mean, var)[1]
+    chi = var / n
+    slack = est["chi_fd_rounding"] + rel_chi * chi + _U * est["chi_fd_gap"] + 2 * _U * chi
+    assert abs(est["chi_fd_gap"] - exact_gap) <= slack
 
 
 @pytest.mark.parametrize("d", [2, 3])
