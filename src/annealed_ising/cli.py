@@ -4,8 +4,8 @@ Three subcommands:
 
 * ``gtable``  -- compute and emit the pairing-weight table log g(d j, d n).
 * ``thermo``  -- scan pressure/magnetization/susceptibility/specific heat over
-  a beta x B grid, in the thermodynamic limit by default or at finite sizes
-  when ``--n``/``--n-list`` is given.
+  a beta x B grid, in the thermodynamic limit by default or at the finite
+  sizes ``--n`` lists (one size or a comma list).
 * ``verify``  -- run one named verification suite and emit a JSON report;
   exit code 0 iff every check in the report passed. The checks live next to
   their math in ``criticality``, ``finiten`` and ``matching``; this module
@@ -122,9 +122,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     field.add_argument("--B", dest="Bs", type=_point, default=(0.0,), help="external field (default 0)")
     field.add_argument("--B-range", dest="Bs", type=_range, default=(0.0,), help="linear scan start:stop:steps")
     for sp in (t, v):
-        size = sp.add_mutually_exclusive_group()
-        size.add_argument("--n", dest="ns", type=_size, default=(), help="number of vertices")
-        size.add_argument("--n-list", dest="ns", type=_sizes, default=(), help="comma-separated vertex counts")
+        sp.add_argument("--n", dest="ns", type=_sizes, default=(), help="number of vertices, or a comma list")
     for sp in (g, t):
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
     commands = {"gtable": g, "thermo": t, "verify": v}
@@ -284,7 +282,7 @@ def _write_siblings(cfg: argparse.Namespace, checks: list[dict]) -> None:
 
 
 def _given_sizes(cfg: argparse.Namespace) -> tuple:
-    """--n/--n-list as a positional argument, or none so the check's default sizes apply."""
+    """--n's sizes as a positional argument, or none so the check's default sizes apply."""
     return (cfg.ns,) if cfg.ns else ()
 
 
@@ -306,7 +304,7 @@ _SUITES = {
 SUITES = tuple(_SUITES)
 # the file a suite writes next to its --out report
 _SIBLINGS = {"scaling": "scan.csv", "finiten": "spinlaw.csv"}
-_SIZED_SUITES = ("scaling", "finiten")  # the suites that read --n/--n-list
+_SIZED_SUITES = ("scaling", "finiten")  # the suites that read --n
 _PARSER, _COMMANDS = _parser()
 
 
@@ -321,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
             if cfg.d * n % 2:
                 raise ValueError(f"d*n = {cfg.d}*{n} is odd: the pairing model needs d*n even")
         if cfg.command == "verify" and cfg.ns and cfg.suite not in _SIZED_SUITES:
-            raise ValueError(f"unrecognized arguments: --n/--n-list (suite {cfg.suite} reads no sizes)")
+            raise ValueError(f"unrecognized arguments: --n (suite {cfg.suite} reads no sizes)")
         if cfg.cache_dir is not None:
             if not cfg.cache_dir:  # os.path would take '' as the current directory
                 raise ValueError("--cache-dir '': name a directory")

@@ -164,13 +164,14 @@ def taylor_check(d: int) -> dict:
     t4 = -32.0 * (d - 1.0) * (d - 2.0) / (d * d)
     tf2 = 2.0 * (1.0 - c)
     tf4 = 24.0 * (1.0 - c) ** 2 - 8.0 * (1.0 - c) ** 3
+    tol = {"dH123_abs": 1e-7, "dH4_rel": 1e-4, "dF2_abs": 1e-7, "dF4_rel": 1e-4}
     ok = (
-        abs(h1) <= 1e-7
-        and abs(h2) <= 1e-7
-        and abs(h3) <= 1e-7
-        and abs(h4 - t4) <= 1e-4 * abs(t4)
-        and abs(f2 - tf2) <= 1e-7
-        and abs(f4 - tf4) <= 1e-4 * abs(tf4)
+        abs(h1) <= tol["dH123_abs"]
+        and abs(h2) <= tol["dH123_abs"]
+        and abs(h3) <= tol["dH123_abs"]
+        and abs(h4 - t4) <= tol["dH4_rel"] * abs(t4)
+        and abs(f2 - tf2) <= tol["dF2_abs"]
+        and abs(f4 - tf4) <= tol["dF4_rel"] * abs(tf4)
     )
     return {
         "check": "taylor_expansion",
@@ -178,7 +179,7 @@ def taylor_check(d: int) -> dict:
         "grid": [h, 2.0 * h],
         "estimates": {"dH1": h1, "dH2": h2, "dH3": h3, "dH4": h4, "dF2": f2, "dF4": f4},
         "targets": {"dH1": 0.0, "dH2": 0.0, "dH3": 0.0, "dH4": t4, "dF2": tf2, "dF4": tf4},
-        "tolerances": {"dH123_abs": 1e-7, "dH4_rel": 1e-4, "dF2_abs": 1e-7, "dF4_rel": 1e-4},
+        "tolerances": tol,
         "pass": bool(ok),
     }
 
@@ -377,11 +378,12 @@ def scaling_limit_check(
     mgf_est = {r: law.mgf(r / law.n**0.75) for r in rs}  # the law at the largest n
     mgf_target = {r: limit.mgf(r) for r in rs}
 
+    tol = {"moment4_rel": 0.03, "mgf_rel": 0.02}
     gaps = [abs(m - limit.moment4) for m in m4s]
-    m4_ok = gaps[-1] <= 0.03 * limit.moment4
+    m4_ok = gaps[-1] <= tol["moment4_rel"] * limit.moment4
     monotone = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
     ks_ok = all(kss[i + 1] < kss[i] for i in range(len(kss) - 1))
-    mgf_ok = all(abs(mgf_est[r] - mgf_target[r]) <= 0.02 * abs(mgf_target[r]) for r in rs)
+    mgf_ok = all(abs(mgf_est[r] - mgf_target[r]) <= tol["mgf_rel"] * abs(mgf_target[r]) for r in rs)
     return {
         "check": "scaling_limit",
         "d": d,
@@ -397,6 +399,6 @@ def scaling_limit_check(
             "moment4": limit.moment4,
             "mgf": {r: mgf_target[r] for r in rs},
         },
-        "tolerances": {"moment4_rel": 0.03, "mgf_rel": 0.02},
+        "tolerances": tol,
         "pass": bool(m4_ok and monotone and ks_ok and mgf_ok),
     }

@@ -329,7 +329,7 @@ def critical_window(laws: list[SpinLaw]) -> dict:
     for law in laws:
         if law.beta != critical_beta(law.d) or law.B != 0.0:
             raise ValueError(
-                f"truncation bounds hold at beta_c={critical_beta(law.d)!r} and B=0 only, "
+                f"the critical window is measured at beta_c={critical_beta(law.d)!r} and B=0 only, "
                 f"law has beta={law.beta!r}, B={law.B!r}"
             )
         n = law.n

@@ -72,7 +72,11 @@ T_GUARD = 1e-14
 
 
 class RootBracketError(RuntimeError):
-    """No (or more than one) sign change where a unique root was required."""
+    """The limit point has no float answer.
+
+    Raised when tanh(beta) rounds to 1, when Newton does not settle in 100
+    steps, and when t_hat lies within T_GUARD of t = 1.
+    """
 
 
 class ModelParams(namedtuple("ModelParams", ("d", "beta", "B"))):

@@ -112,6 +112,14 @@ def test_gtable_usage_errors(tmp_path):
     assert main(["gtable", "--d", "3", "--n", "10"]) == 2  # no beta at all
 
 
+def test_gtable_takes_one_size(capsys):
+    # gtable emits one table, so its --n is one size, not a comma list
+    assert main(["gtable", "--d", "3", "--n", "10,20", "--beta", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument --n: ")
+
+
 # ---------------------------------------------------------------------------
 # thermo
 
@@ -193,7 +201,7 @@ def test_thermo_finite_mode_matches_library(tmp_path, cache_dir):
             "--d", "3",
             "--beta", "0.4",
             "--B", "0.1",
-            "--n-list", "100,200",
+            "--n", "100,200",
             "--cache-dir", cache_dir,
             "--out", str(out),
         ]
@@ -204,6 +212,19 @@ def test_thermo_finite_mode_matches_library(tmp_path, cache_dir):
     assert [r["n"] for r in rows] == ["100", "200"]
     t = matching.log_g_table(3, 100, 0.4, cache_dir=cache_dir)
     assert float(rows[0]["psi_n"]) == spin_law(t, 0.1).psi  # 17-digit round trip
+
+
+def test_thermo_size_list_prints_each_sizes_rows_in_turn(capsys):
+    # one --n with a comma list: the header once, then each size's rows in the list's order
+    head = ["thermo", "--d", "4", "--beta", "0.3", "--n"]
+    outs = {}
+    for sizes in ("8", "50", "8,50"):
+        assert main(head + [sizes]) == 0
+        outs[sizes] = capsys.readouterr().out.splitlines()
+    assert outs["8"][0] == "n,beta,B,psi_n,M_n,chi_n"
+    assert len(outs["8"]) == len(outs["50"]) == 2
+    assert outs["8"][1].startswith("8,") and outs["50"][1].startswith("50,")
+    assert outs["8,50"] == outs["8"] + outs["50"][1:]
 
 
 def test_thermo_json_output(tmp_path):
@@ -244,14 +265,17 @@ def test_flag_conflicts_are_usage_errors():
         ["thermo", "--d", "3", "--beta", "0.3", "--seed", "4"],
         ["verify", "--suite", "matching", "--d", "3", "--seed", "1"],
         # sizes are read only by the scaling and finiten suites
-        ["verify", "--suite", "taylor", "--d", "3", "--n-list", "10,20"],
-        ["verify", "--suite", "exponents", "--d", "3", "--n-list", "10,20"],
-        ["verify", "--suite", "jump", "--d", "3", "--n-list", "10,20"],
-        ["verify", "--suite", "matching", "--d", "3", "--n-list", "10,20"],
+        ["verify", "--suite", "taylor", "--d", "3", "--n", "10,20"],
+        ["verify", "--suite", "exponents", "--d", "3", "--n", "10,20"],
+        ["verify", "--suite", "jump", "--d", "3", "--n", "10,20"],
+        ["verify", "--suite", "matching", "--d", "3", "--n", "10,20"],
         ["verify", "--suite", "taylor", "--d", "3", "--n", "10"],
         # gtable emits one table: one --n and one --beta
         ["gtable", "--d", "3", "--n", "10", "--beta", "0.5", "--n-list", "10,20"],
         ["gtable", "--d", "3", "--n", "10", "--beta", "0.5", "--beta-range", "0.1:0.2:2"],
+        # --n-list is gone: --n takes one size or a comma list
+        ["thermo", "--d", "3", "--beta", "0.3", "--n-list", "10,20"],
+        ["verify", "--suite", "scaling", "--d", "3", "--n-list", "250,500"],
     ],
 )
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
@@ -297,7 +321,7 @@ def test_a_critical_point_suite_at_d_2_is_a_usage_error(suite, capsys):
     "head",
     [
         ["gtable", "--d", "3", "--n", "10", "--beta", "0.5"],
-        ["verify", "--suite", "scaling", "--d", "3", "--n-list", "250,500"],
+        ["verify", "--suite", "scaling", "--d", "3", "--n", "250,500"],
     ],
 )
 @pytest.mark.parametrize("name", ["table", "~/table", "table/sub", "~/table/sub"])
@@ -319,7 +343,7 @@ def test_a_cache_dir_naming_a_file_is_a_usage_error(head, name, tmp_path, monkey
     [
         ["gtable", "--d", "3", "--n", "10", "--beta", "0.5"],
         ["thermo", "--d", "3", "--n", "10", "--beta", "0.5"],
-        ["verify", "--suite", "scaling", "--d", "3", "--n-list", "250,500"],
+        ["verify", "--suite", "scaling", "--d", "3", "--n", "250,500"],
     ],
     ids=["gtable", "thermo", "verify"],
 )
@@ -388,7 +412,7 @@ def test_verify_exit_codes():
 
 @pytest.mark.parametrize("suite", cli.SUITES)
 def test_every_check_keeps_the_report_shape(suite, cache_dir, capsys):
-    sizes = ["--n-list", "250,500"] if suite in ("scaling", "finiten") else []
+    sizes = ["--n", "250,500"] if suite in ("scaling", "finiten") else []
     assert main(["verify", "--suite", suite, "--d", "3", "--cache-dir", cache_dir, *sizes]) in (0, 1)
     keys = {"check", "d", "grid", "estimates", "targets", "tolerances", "pass"}
     if suite == "exponents":
@@ -433,7 +457,7 @@ def test_verify_scaling_writes_sibling_scan(tmp_path, cache_dir):
             "verify",
             "--suite", "scaling",
             "--d", "3",
-            "--n-list", "250,500",
+            "--n", "250,500",
             "--cache-dir", cache_dir,
             "--out", str(out),
         ]
@@ -455,7 +479,7 @@ def test_verify_finiten_writes_sibling_spinlaw(tmp_path, cache_dir):
             "verify",
             "--suite", "finiten",
             "--d", "3",
-            "--n-list", "250,500",
+            "--n", "250,500",
             "--cache-dir", cache_dir,
             "--out", str(out),
         ]
@@ -484,7 +508,7 @@ def test_verify_finiten_out_fills_each_table_once(fills, tmp_path):
 def test_verify_finiten_sorts_its_sizes(cache_dir, capsys):
     # the pressure gaps must shrink from the smallest size up, whatever
     # order the sizes are given in
-    head = ["verify", "--suite", "finiten", "--d", "3", "--cache-dir", cache_dir, "--n-list"]
+    head = ["verify", "--suite", "finiten", "--d", "3", "--cache-dir", cache_dir, "--n"]
     assert main(head + ["250,500,1000"]) == 1  # the critical-window gates are asymptotic-only
     sorted_report = capsys.readouterr().out
     assert main(head + ["1000,500,250"]) == 1
@@ -492,7 +516,7 @@ def test_verify_finiten_sorts_its_sizes(cache_dir, capsys):
     assert json.loads(sorted_report)["checks"][1]["pass"] is True
 
 
-@pytest.mark.parametrize("sizes", [["--n", "250"], ["--n-list", "250,250"]], ids=["one", "repeated"])
+@pytest.mark.parametrize("sizes", [["--n", "250"], ["--n", "250,250"]], ids=["one", "repeated"])
 def test_verify_finiten_needs_two_distinct_sizes(sizes, tmp_path, capsys):
     # the rule and message of the scaling suite's sizes
     argv = ["verify", "--suite", "finiten", "--d", "3", "--cache-dir", str(tmp_path / "cache"), *sizes]
@@ -506,7 +530,7 @@ def test_verify_finiten_needs_two_distinct_sizes(sizes, tmp_path, capsys):
 @pytest.mark.parametrize("suite, sibling", [("scaling", "scan.csv"), ("finiten", "spinlaw.csv")])
 def test_out_naming_the_suites_sibling_is_a_usage_error(suite, sibling, tmp_path, capsys):
     # the sibling would be written first and then overwritten by the report
-    argv = ["verify", "--suite", suite, "--d", "3", "--n-list", "250,500"]
+    argv = ["verify", "--suite", suite, "--d", "3", "--n", "250,500"]
     assert main(argv + ["--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / sibling)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -526,7 +550,7 @@ def test_outputs_land_exactly_where_asked(tmp_path):
     "head",
     [
         ["gtable", "--d", "3", "--n", "10", "--beta", "0.5"],
-        ["verify", "--suite", "scaling", "--d", "3", "--n-list", "250,500"],
+        ["verify", "--suite", "scaling", "--d", "3", "--n", "250,500"],
     ],
 )
 def test_out_into_a_missing_directory_or_onto_a_directory_is_a_usage_error(head, tmp_path, capsys):
@@ -563,7 +587,7 @@ def dumped(monkeypatch):
         ["verify", "--suite", "finiten", "--d", "2"],
         # limit mode: B = 50 at beta = 0.3 and beta = 6 at B = 0 are nan rows
         ["thermo", "--d", "3", "--beta-range", "0.3:6:3", "--B-range", "0:50:3", "--format", "json"],
-        ["thermo", "--d", "4", "--n-list", "8,50", "--beta-range", "0.1:1.2:3", "--B", "0.2", "--format", "json"],
+        ["thermo", "--d", "4", "--n", "8,50", "--beta-range", "0.1:1.2:3", "--B", "0.2", "--format", "json"],
         ["gtable", "--d", "3", "--n", "300", "--beta", "0.3", "--format", "json"],
         ["gtable", "--d", "4", "--n", "11", "--beta", "0", "--format", "json"],
     ],

@@ -1,5 +1,6 @@
 """Finite-size weights, the spin law, and its transforms."""
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -182,8 +183,9 @@ def test_magnetization_and_susceptibility_match_the_decimal_oracle(get_table, be
     assert abs(law.chi - var / n) <= rel_chi * (var / n)
 
 
+@functools.lru_cache(maxsize=None)
 def _cycle_pressure(n, beta, B):
-    """(1/n) log E[Z_n] at d = 2 in closed form, in 50-digit decimal.
+    """(1/n) log E[Z_n], M_n and chi_n at d = 2 in closed form, in 50-digit decimal.
 
     A 2-regular configuration graph is a union of cycles, and averaging the
     transfer-matrix traces over the pairings gives
@@ -194,21 +196,36 @@ def _cycle_pressure(n, beta, B):
     W_0 = 1, W_1 = tr T, with no square root left. tr T > 2 sqrt(det T), so P_k
     is the growing solution and the forward recurrence is stable; its n steps
     lose about n 1e-50 relative, far below a double's rounding.
+
+    det T does not depend on B, tr T' = e^{beta+B} - e^{beta-B} and
+    tr T'' = tr T, so the recurrence differentiated in B carries W_B and W_BB
+    beside W, from W_B = W_BB = 0 at k = 0. Then M_n = W_B/(n W) and
+    chi_n = (W_BB/W - (W_B/W)^2)/n; the difference cancels about
+    log10(n M_n^2/chi_n) < 5 of the 50 digits.
     """
     with localcontext() as ctx:
         ctx.prec = 50
         b, f = Decimal(beta), Decimal(B)
         tr = (b + f).exp() + (b - f).exp()
+        tr_b = (b + f).exp() - (b - f).exp()
         det = (2 * b).exp() - (-2 * b).exp()
-        prev, cur = Decimal(1), tr
+        prev, cur = (Decimal(1), Decimal(0), Decimal(0)), (tr, tr_b, tr)
         for k in range(1, n):
             kk = 4 * k * k
-            prev, cur = cur, tr * cur - det * kk / (kk - 1) * prev
-        return cur.ln() / n
+            c = det * kk / (kk - 1)
+            (w, w_b, w_bb), (v, v_b, v_bb) = cur, prev
+            prev, cur = cur, (
+                tr * w - c * v,
+                tr_b * w + tr * w_b - c * v_b,
+                tr * w + 2 * tr_b * w_b + tr * w_bb - c * v_bb,
+            )
+        w, w_b, w_bb = cur
+        mean = w_b / w
+        return w.ln() / n, mean / n, (w_bb / w - mean * mean) / n
 
 
-def _psi_error_bound(table, law):
-    """First-order bound on |psi_n - (1/n) log E[Z_n]| from the float steps behind psi_n.
+def _weight_error_bound(table, B):
+    """First-order bound, over j, on the error of spin_law's float weights.
 
     The weights w_j = log C(n, j) + log g_j + 2Bj carry:
     - the table row's 8u(k + max(1, |log g_j|)), k = min(dj, dn - dj), from
@@ -217,15 +234,8 @@ def _psi_error_bound(table, law):
       CPython's own tests hold lgamma to, and u each for the sum and the
       difference that make log C(n, j);
     - u each for the two additions and the product 2Bj.
-    log-sum-exp moves by at most the largest change of any weight. spin_law's
-    sum of e_j = exp(w_j - max w) then errs by its lanes' roundings (u |x_j|
-    for x_j = w_j - max w, 4u for exp) and its pairwise depth, as in
-    _mass_rounding. log adds 2u |log sum|, max w + log sum adds u |z|, z/n
-    adds u |z/n|, and - B and + z/n add u of their results; beta d/2 is exact
-    at d = 2. The lanes spin_law leaves at 0 below the exp cut carry less
-    than (n+1) e^-746 of the sum.
     """
-    u, n, d, B = _U, table.n, table.d, law.B
+    u, n, d = _U, table.n, table.d
     j = np.arange(n + 1, dtype=np.float64)
     log_g = table.values
     rows = 8 * u * (np.minimum(d * j, d * (n - j)) + np.maximum(1.0, np.abs(log_g)))
@@ -235,7 +245,22 @@ def _psi_error_bound(table, law):
     binom = fact[n] + fact + fact[::-1] + u * (lf + lf[::-1]) + u * np.abs(log_binom)
     w = log_binom + log_g + 2.0 * B * j
     assembly = u * (np.abs(log_binom + log_g) + np.abs(2.0 * B * j) + np.abs(w))
-    weights = float(np.max(rows + binom + assembly))
+    return float(np.max(rows + binom + assembly))
+
+
+def _psi_error_bound(table, law):
+    """First-order bound on |psi_n - (1/n) log E[Z_n]| from the float steps behind psi_n.
+
+    The weights carry _weight_error_bound, and log-sum-exp moves by at most
+    the largest change of any weight. spin_law's sum of e_j = exp(w_j - max w)
+    then errs by its lanes' roundings (u |x_j| for x_j = w_j - max w, 4u for
+    exp) and its pairwise depth, as in _mass_rounding. log adds 2u |log sum|, max w + log sum adds u |z|, z/n
+    adds u |z/n|, and - B and + z/n add u of their results; beta d/2 is exact
+    at d = 2. The lanes spin_law leaves at 0 below the exp cut carry less
+    than (n+1) e^-746 of the sum.
+    """
+    u, n, d, B = _U, table.n, table.d, law.B
+    w = _log_x(table) + 2.0 * B * np.arange(n + 1, dtype=np.float64)
     top = float(np.max(w))
     x = w - top
     depth = _mass_rounding(n, x, law.masses)[0]
@@ -243,12 +268,14 @@ def _psi_error_bound(table, law):
     z = top + log_total
     lse = float(np.sum(law.masses * (u * np.abs(x) + 4 * u))) + depth * u
     lse += 2 * u * abs(log_total) + u * abs(z)
+    weights = _weight_error_bound(table, B)
     return (weights + lse) / n + u * abs(z / n) + u * abs(table.beta * d / 2.0 - B) + u * abs(law.psi)
 
 
-@pytest.mark.parametrize(
-    "n, beta, B", [(4, 0.3, 0.1), (100, 0.4, 0.2), (1000, 1.0, 0.05), (1000, 0.3, 0.0), (8000, 0.5, 0.1)]
-)
+_CYCLE_POINTS = [(4, 0.3, 0.1), (100, 0.4, 0.2), (1000, 1.0, 0.05), (1000, 0.3, 0.0), (8000, 0.5, 0.1)]
+
+
+@pytest.mark.parametrize("n, beta, B", _CYCLE_POINTS)
 def test_cycle_graphs_match_the_legendre_closed_form(n, beta, B):
     # d = 2: the pressure from the table and spin law against the cycle-graph
     # closed form, which needs neither the Isserlis recurrence nor the law of X
@@ -256,8 +283,32 @@ def test_cycle_graphs_match_the_legendre_closed_form(n, beta, B):
     law = spin_law(table, B)
     with localcontext() as ctx:
         ctx.prec = 50
-        gap = abs(Decimal(law.psi) - _cycle_pressure(n, beta, B))
+        gap = abs(Decimal(law.psi) - _cycle_pressure(n, beta, B)[0])
     assert float(gap) <= _psi_error_bound(table, law)
+
+
+@pytest.mark.parametrize("n, beta, B", _CYCLE_POINTS)
+def test_cycle_graphs_match_the_legendre_closed_form_in_M_and_chi(n, beta, B):
+    # M_n and chi_n against the closed form's B-derivatives. They err by
+    # spin_law's float steps on its float weights (_spin_law_error_bounds),
+    # and by those weights' own error: moving each weight by at most eps
+    # (_weight_error_bound) moves E[S] by Cov(S, delta) <= eps E|S - mean|
+    # and Var(S) by Cov((S - mean)^2, delta) <= eps E|(S - mean)^2 - Var(S)|,
+    # to first order
+    table = log_g_table(2, n, beta)
+    law = spin_law(table, B)
+    js, x, m, mean, var = _decimal_law(_log_x(table) + 2.0 * B * np.arange(n + 1, dtype=np.float64))
+    abs_M, rel_chi = _spin_law_error_bounds(n, js, x, m, mean, var)
+    eps = _weight_error_bound(table, B)
+    dev = 2.0 * js - n - mean
+    abs_M += eps * float(np.sum(m * np.abs(dev))) / n
+    abs_chi = rel_chi * var / n + eps * float(np.sum(m * np.abs(dev * dev - var))) / n
+    _, M, chi = _cycle_pressure(n, beta, B)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        gap_M, gap_chi = abs(Decimal(law.M) - M), abs(Decimal(law.chi) - chi)
+    assert float(gap_M) <= abs_M
+    assert float(gap_chi) <= abs_chi
 
 
 def _decimal_mgf(w, r, inside):

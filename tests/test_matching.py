@@ -170,6 +170,14 @@ def test_table_identities_gate_catches_a_nonzero_free_table(monkeypatch):
     assert rep["pass"] is False
 
 
+def test_table_identities_prints_the_tolerance_each_verdict_reads():
+    # the free table and the pinned ends are exact; a printed 1e-12 would allow the gap above
+    rep = table_identities()
+    tol = {"closed_form_gap": 1e-12, "free_case_max": 0.0, "symmetry_gap": 1e-12, "endpoint_values": 0.0}
+    assert rep["tolerances"] == tol
+    assert all(rep["estimates"][k] <= tol[k] for k in tol) and rep["pass"] is True
+
+
 def test_table_input_validation():
     with pytest.raises(ValueError):
         log_g_table(3, 33, 0.5)  # d*n odd
