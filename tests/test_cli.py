@@ -505,6 +505,20 @@ def test_verify_finiten_out_fills_each_table_once(fills, tmp_path):
     assert len((tmp_path / "spinlaw.csv").read_text().splitlines()) == 1 + 1001
 
 
+def test_verify_finiten_runs_the_window_on_the_sizes_it_is_given(fills, tmp_path):
+    # small sizes are the window's sizes too: no table outside --n is filled,
+    # and spinlaw.csv holds the law at the largest of them
+    out = tmp_path / "f.json"
+    assert main(["verify", "--suite", "finiten", "--d", "3", "--n", "8,50", "--out", str(out)]) == 1
+    window = json.loads(out.read_text())["checks"][3]
+    assert window["check"] == "critical_window" and window["grid"] == [8, 50]
+    assert window["estimates"]["tail_mass"] == [0.0, 0.0]  # both laws lie inside |S| <= 2 n^{5/6}
+    assert window["pass"] is False  # a tail that does not fall
+    tables = [(8, 0.0)] + [(n, b) for b in (0.4, BC3) for n in (8, 50)]
+    assert fills == Counter({(3, n, b): 1 for n, b in tables})
+    assert len((tmp_path / "spinlaw.csv").read_text().splitlines()) == 1 + 51
+
+
 def test_verify_finiten_sorts_its_sizes(cache_dir, capsys):
     # the pressure gaps must shrink from the smallest size up, whatever
     # order the sizes are given in
@@ -523,7 +537,7 @@ def test_verify_finiten_needs_two_distinct_sizes(sizes, tmp_path, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: n_list=(250")
+    assert captured.err.startswith("error: need at least two distinct sizes, got (250")
     assert list(tmp_path.iterdir()) == []  # rejected before any table
 
 
