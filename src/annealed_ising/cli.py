@@ -25,6 +25,9 @@ serialized with repr (shortest round-trip form), rows are emitted in grid
 order, and reports carry no timestamps. JSON (``verify`` reports and
 ``--format json``) is the bytes of ``json.dumps(obj, indent=2)``, written by
 ``_dumps``, which hands every container of scalars to CPython's C encoder.
+
+Only ``thermo`` is imported with this module; ``_import_numpy_side`` imports
+the numpy-backed modules when ``gtable``, ``thermo --n`` or ``verify`` runs.
 """
 
 from __future__ import annotations
@@ -37,9 +40,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import criticality, finiten, matching, thermo
+from . import thermo
 
 __all__ = ["main", "cmd_gtable", "cmd_thermo", "cmd_verify"]
 
@@ -63,7 +64,14 @@ def _range(text: str) -> tuple[float, ...]:
     a, b, steps = _field(float(parts[0])), _field(float(parts[1])), int(parts[2])
     if steps < 1:
         raise argparse.ArgumentTypeError(f"{text!r}: steps must be >= 1")
-    return tuple(float(v) for v in np.linspace(a, b, steps))  # all between the checked ends
+    # np.linspace(a, b, steps) bit for bit, in its order of operations: i*step + a, or i/div*delta + a
+    # where the step underflows to 0, the last set to b; one step is 0*delta + a. All lie between the ends.
+    delta, div = b - a, max(steps - 1, 1)
+    step = delta / div
+    values = [i / div * delta + a if step == 0 else i * step + a for i in range(steps)]
+    if steps > 1:
+        values[-1] = b
+    return tuple(values)
 
 
 def _degree(text: str) -> int:
@@ -216,7 +224,14 @@ def _sibling(out: str, name: str) -> str:
 # subcommands; each takes the namespace main parsed
 
 
+def _import_numpy_side() -> None:
+    """Bind the numpy-backed modules here; --help and thermo's limit mode never call it."""
+    global criticality, finiten, matching
+    from . import criticality, finiten, matching
+
+
 def cmd_gtable(cfg: argparse.Namespace) -> int:
+    _import_numpy_side()
     (n,), (beta,) = cfg.ns, cfg.betas
     table = matching.log_g_table(cfg.d, n, beta, cache_dir=cfg.cache_dir)
     if cfg.format == "json":
@@ -229,6 +244,7 @@ def cmd_gtable(cfg: argparse.Namespace) -> int:
 
 def cmd_thermo(cfg: argparse.Namespace) -> int:
     if cfg.ns:
+        _import_numpy_side()
         header = ("n", "beta", "B", "psi_n", "M_n", "chi_n")
 
         def work(n, b):
@@ -257,6 +273,7 @@ def cmd_thermo(cfg: argparse.Namespace) -> int:
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
+    _import_numpy_side()
     checks = _SUITES[cfg.suite](cfg)
     if cfg.out:
         _write_siblings(cfg, checks)

@@ -247,6 +247,32 @@ def test_thermo_reports_unreachable_roots_and_continues(tmp_path, capsys):
     assert "warning" in capsys.readouterr().err
 
 
+def test_a_range_is_linspace_bit_for_bit():
+    """--beta-range and --B-range give np.linspace's values, -0.0 included:
+    equal and descending ends, a step that underflows to 0, 1 and 2 steps,
+    and the benchmark's limit-scan grids."""
+    rng = random.Random(37)
+    tiny = 5e-324
+    cases = [(-0.0, -0.0, 1), (-0.0, 0.0, 2), (0.0, tiny, 3), (1.0, 1.0, 4), (0.5, 0.1, 2)]
+    for _ in range(3000):
+        kind = rng.randrange(5)
+        if kind == 0:  # equal ends
+            a = b = rng.choice([0.0, -0.0, rng.uniform(0, 2)])
+        elif kind == 1:  # a subnormal difference: the step underflows to 0
+            a = rng.choice([0.0, -0.0, tiny * rng.randint(1, 99)])
+            b = a + tiny * rng.randint(0, 60)
+        elif kind == 2:  # the limit-scan workload's beta and B grids
+            a, b = rng.choice([(rng.uniform(0.05, 0.15), rng.uniform(1.5, 1.6)), (0.0, rng.uniform(0.3, 0.5))])
+        else:  # any order, any scale
+            a, b = (rng.random() * rng.choice([1e-300, 1e-8, 1.0, 1e3, 1e300]) for _ in "ab")
+        cases.append((a, b, rng.choice([1, 2, rng.randint(1, 64)])))
+    for a, b, steps in cases:
+        got = cli._range(f"{a!r}:{b!r}:{steps}")
+        want = np.linspace(a, b, steps).tolist()
+        assert [v.hex() for v in got] == [v.hex() for v in want], (a, b, steps)
+    assert np.linspace(-0.0, -0.0, 1)[0].hex() == "0x0.0p+0"  # so one step is not just (a,)
+
+
 def test_flag_conflicts_are_usage_errors():
     assert main(["thermo", "--d", "3", "--beta", "0.3", "--beta-range", "0.1:0.2:2"]) == 2
     assert main(["thermo", "--d", "3", "--beta", "0.3", "--B", "0.1", "--B-range", "0:1:2"]) == 2
