@@ -318,6 +318,9 @@ def critical_window(laws: list[SpinLaw]) -> dict:
     stays between 3.57 and 3.73 for n = 250..8000, so the tail would drop
     below n^{-4} only near n ~ 1e7, and the check fails at every size the
     tests and reports use. The tail mass must also fall strictly with n.
+    At n <= 64, 2 n^{5/6} >= n: the window holds the whole support, every
+    tail is exactly 0.0 and meets n^{-4}, and the verdict is false by the
+    strict-decrease rule alone (0.0 < 0.0 is false).
     """
     tails, bounds = [], []
     for law in laws:

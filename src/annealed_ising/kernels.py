@@ -20,15 +20,17 @@ the middle; the rest is the k <-> m-k mirror.
 Blocked solve: the steps split into blocks of L (even) steps, block i
 running k = k0..k0+L-1, k0 = iL, from the pair (f_k0, f_k0-1). The
 recurrence is linear, so inside a block f_k = f_k0 P_k + f_k0-1 Q_k, where
-P and Q are the solutions started from (1, 0) and (0, 1). All blocks' P and
-Q advance together: L vectorised steps on rows of the precomputed a_k and
-b_k, in place of K scalar ones. A scalar stitch then carries the pair from
-block to block: f_k0 P + f_k0-1 Q at k0+L and k0+L-1 is the next block's
-pair, divided by the power of two 2^e that brings its larger entry into
-[1/2, 1) (frexp/ldexp, exact); the e add up to each block's exponent E. A
-row is then log(f_k0 P_k + f_k0-1 Q_k) + E ln 2, all rows in one vectorised
-pass. The first block starts from (f_0, f_-1) = (1, 0), which step 0
-(a_0 = 1, b_0 = 0) takes to f_1 = 1.
+P and Q, the two entries of the basis' pair axis, are the solutions started
+from (1, 0) and (0, 1). All blocks' P and Q advance together: L vectorised
+steps, each broadcasting a row of the precomputed a_k and b_k over the pair,
+in place of K scalar ones. A scalar stitch then carries the pair from block
+to block: f_k0 P + f_k0-1 Q at k0+L and k0+L-1 is the next block's pair,
+divided by the power of two 2^e that brings its larger entry into [1/2, 1)
+(frexp/ldexp, exact); the e add up to each block's exponent E. A row is
+then log(f_k0 P_k + f_k0-1 Q_k) + E ln 2, all rows in one vectorised pass.
+The first block starts from (f_0, f_-1) = (1, 0), which step 0 (a_0 = 1,
+b_0 = 0) takes to f_1 = 1. Row 0 is log(1·1 + 0·0) + 0 ln 2 = 0.0 exactly
+and row n is its mirror: both ends are computed, and need no pin.
 
 Range: a_k, b_k >= 0 and a_k + b_k <= 1 for k <= m/2, so P, Q and every
 scaled f_k lie in [0, 1]: nothing overflows. b_k >= 1/m for k >= 1, and at
@@ -78,7 +80,6 @@ _LN2 = 0.6931471805599453
 _RANGE = 500
 
 
-
 def _check_table_args(d: int, n: int, beta: float) -> None:
     """Reject a (d, n, beta) that names no table: dn half-edges need a perfect matching."""
     if d < 1 or n < 1:
@@ -101,27 +102,24 @@ def _block_length(m: int, top: int) -> int:
 
 
 def _block_basis(m: int, top: int, c2: float, size: int, blocks: int) -> np.ndarray:
-    """basis[1 + t, i] = P and basis[1 + t, blocks + i] = Q at k = i*size + t.
+    """basis[1 + t, 0, i] = P and basis[1 + t, 1, i] = Q at k = i*size + t.
 
-    P and Q are block i's solutions from (f_k0, f_k0-1) = (1, 0) and (0, 1),
-    k0 = i*size; row 0 holds the second entries of those pairs. Steps past
-    the last row `top` repeat its coefficients, so every a + b stays <= 1.
+    P and Q, on the pair axis, are block i's solutions from (f_k0, f_k0-1) =
+    (1, 0) and (0, 1), k0 = i*size; row 0 holds those pairs' second entries.
+    Each step broadcasts one row of the (size, blocks) a_k and b_k over the
+    pair; steps past the last row `top` repeat its coefficients (a + b <= 1).
     """
-    a, b = np.empty((size, 2 * blocks)), np.empty((size, 2 * blocks))  # P's half, then Q's
-    ah, bh = a[:, :blocks], b[:, :blocks]
-    np.add.outer(np.arange(size, dtype=np.float64), np.arange(0.0, blocks * size, size), out=bh)
-    np.minimum(bh, top, out=bh)  # bh[t, i] = k
-    den = m - bh
-    np.subtract(den, bh, out=ah)  # m - 2k
-    ah[1::2] *= c2  # odd t is odd k
-    ah /= den
-    bh /= den
+    b = np.add.outer(np.arange(size, dtype=np.float64), np.arange(0.0, blocks * size, size))
+    np.minimum(b, top, out=b)  # b[t, i] = k
+    den = m - b
+    a = den - b  # m - 2k
+    a[1::2] *= c2  # odd t is odd k
+    a /= den
+    b /= den
     del den  # freed before the basis is allocated, to keep the peak small
-    a[:, blocks:] = ah
-    b[:, blocks:] = bh
-    basis = np.empty((size + 2, 2 * blocks))
-    basis[0, :blocks] = basis[1, blocks:] = 0.0
-    basis[1, :blocks] = basis[0, blocks:] = 1.0
+    basis = np.empty((size + 2, 2, blocks))
+    basis[0, 0] = basis[1, 1] = 0.0
+    basis[0, 1] = basis[1, 0] = 1.0
     for t in range(size):
         row = basis[t + 2]
         np.multiply(a[t], basis[t + 1], out=row)
@@ -129,20 +127,20 @@ def _block_basis(m: int, top: int, c2: float, size: int, blocks: int) -> np.ndar
     return basis
 
 
-def _stitch(basis: np.ndarray, blocks: int) -> tuple[list, list, list]:
+def _stitch(basis: np.ndarray) -> tuple[list, list, list]:
     """Block i's starting pair (f_k0, f_k0-1) divided by 2^E_i, and E_i.
 
-    The pair at the end of block i (rows -1 and -2 of the basis) combined
-    from its start gives block i + 1's; its larger entry is brought into
-    [1/2, 1) by an exact power of two.
+    The pair at the end of block i (the P and Q of the basis' rows -1 and
+    -2) combined from its start gives block i + 1's; its larger entry is
+    brought into [1/2, 1) by an exact power of two.
     """
     f0, f1, e = 1.0, 0.0, 0
     start, prev, exps = [f0], [f1], [e]
-    last, before = basis[-1].tolist(), basis[-2].tolist()
-    for i in range(blocks - 1):
-        fa = f0 * last[i] + f1 * last[blocks + i]
-        fb = f0 * before[i] + f1 * before[blocks + i]
-        shift = math.frexp(max(fa, fb))[1]
+    (pas, qas), (pbs, qbs) = basis[-1].tolist(), basis[-2].tolist()
+    for pa, qa, pb, qb in zip(pas[:-1], qas, pbs, qbs):  # blocks - 1 seams
+        fa = f0 * pa + f1 * qa
+        fb = f0 * pb + f1 * qb
+        shift = math.frexp(fa if fa > fb else fb)[1]
         f0, f1, e = math.ldexp(fa, -shift), math.ldexp(fb, -shift), e + shift
         start.append(f0)
         prev.append(f1)
@@ -167,19 +165,14 @@ def gtable_values(d: int, n: int, beta: float) -> np.ndarray:
         size = _block_length(m, top)
         blocks = top // size + 1  # block i runs the steps k = i*size + t, t < size
         basis = _block_basis(m, top, c2, size, blocks)
-        start, prev, exps = _stitch(basis, blocks)
+        start, prev, exps = _stitch(basis)
         # row k = dj lies in block i at step t: f_k = 2^E_i (f_k0 P + f_k0-1 Q)
         i, t = np.divmod(np.arange(0, top + 1, d), size)
-        at = (t + 1) * (2 * blocks) + i  # the flat index of P; Q's is `blocks` on
-        f = np.take(start, i) * basis.take(at) + np.take(prev, i) * basis.take(at + blocks)
+        f = np.take(start, i) * basis[t + 1, 0, i] + np.take(prev, i) * basis[t + 1, 1, i]
         np.log(f, out=half)
         half += np.take(exps, i) * _LN2
     if d & 1:
         half[1::2] -= 2.0 * beta  # the odd rows k = dj
     out[n // 2 + 1 :] = out[: (n + 1) // 2][::-1]
-    # g(0, m) = g(m, m) = 1 exactly, and g <= 1 throughout: pin the endpoints
-    # and clamp any positive rounding dust.
-    out[0] = 0.0
-    out[n] = 0.0
-    np.minimum(out, 0.0, out=out)
+    np.minimum(out, 0.0, out=out)  # g <= 1: clamp any positive rounding dust
     return out

@@ -205,7 +205,7 @@ def pairing_law_exact() -> dict:
 
 
 def table_identities(cache_dir=None) -> dict:
-    """Small tables: the (d=2, n=2) closed form, the free case, j <-> n-j symmetry, pinned ends."""
+    """Small tables: the (d=2, n=2) closed form, the free case, j <-> n-j symmetry, computed ends."""
     tol = 1e-12
     beta = 0.3
     t22 = log_g_table(2, 2, beta, cache_dir=cache_dir)

@@ -374,6 +374,19 @@ def test_exp_is_exactly_zero_below_the_cut():
     assert np.exp(below) == 0.0 and np.exp(-np.inf) == 0.0
 
 
+def test_subnormal_masses_are_kept(get_table):
+    # the cut sits below every subnormal result, so a law whose tail crosses
+    # the subnormal range keeps those masses: moving the cut to the normal
+    # edge (-708) would change these bits and needs a derived bound instead
+    n, beta, B = 8000, 0.7, 0.05
+    t = get_table(3, n, beta)
+    w = _log_x(t) + 2.0 * B * np.arange(n + 1, dtype=np.float64)
+    p = np.exp(w - float(np.max(w)))
+    masses = spin_law(t, B).masses
+    assert masses.tobytes() == (p / p.sum()).tobytes()
+    assert np.count_nonzero((masses > 0.0) & (masses < np.finfo(np.float64).tiny)) > 1000
+
+
 def _lse_full(v):
     m = float(np.max(v))
     return m + math.log(float(np.sum(np.exp(v - m))))

@@ -171,7 +171,7 @@ def test_table_identities_gate_catches_a_nonzero_free_table(monkeypatch):
 
 
 def test_table_identities_prints_the_tolerance_each_verdict_reads():
-    # the free table and the pinned ends are exact; a printed 1e-12 would allow the gap above
+    # the free table and the computed ends are exact; a printed 1e-12 would allow the gap above
     rep = table_identities()
     tol = {"closed_form_gap": 1e-12, "free_case_max": 0.0, "symmetry_gap": 1e-12, "endpoint_values": 0.0}
     assert rep["tolerances"] == tol
